@@ -1,5 +1,5 @@
 //! Benchmarks for the substrate: unit-delay simulation throughput,
-//! Hungarian matching scaling, and BLIF I/O. Plain `harness = false`
+//! Hungarian matching on Algorithm 1's shapes, and BLIF I/O. Plain `harness = false`
 //! timers (criterion is unavailable offline).
 //!
 //! ```text
@@ -57,17 +57,25 @@ fn bench_simulation() {
 }
 
 fn bench_matching() {
-    for n in [8usize, 16, 32, 64] {
-        // Deterministic dense weights.
-        let w: Vec<Vec<Option<f64>>> = (0..n)
+    // Algorithm 1's shapes: the first iterations of chem (15 × 332) and
+    // steam (7 × 213) at the paper constraints, plus one square case.
+    for (rows, cols) in [(15usize, 332usize), (7, 213), (64, 64)] {
+        // Deterministic weights on a few Eq. 4-style levels, with the
+        // forbidden cells a type or lifetime clash leaves.
+        let w: Vec<Vec<Option<f64>>> = (0..rows)
             .map(|r| {
-                (0..n)
-                    .map(|c| Some(1.0 + ((r * 31 + c * 17) % 97) as f64))
+                (0..cols)
+                    .map(|c| {
+                        let h = (r * 31 + c * 17) % 97;
+                        (h % 3 != 0).then(|| {
+                            0.5 / (12.0 + (h % 5) as f64) + 0.5 / (30.0 * (1 + h % 4) as f64)
+                        })
+                    })
                     .collect()
             })
             .collect();
-        bench(&format!("hungarian/{n}"), 10, || {
-            max_weight_matching(&w);
+        bench(&format!("hungarian/{rows}x{cols}"), 10, || {
+            std::hint::black_box(max_weight_matching(std::hint::black_box(&w)));
         });
     }
 }

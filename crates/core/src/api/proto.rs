@@ -277,9 +277,15 @@ impl JobRequest {
     ///
     /// # Errors
     ///
-    /// Unknown benchmark names and unparseable or structurally invalid
-    /// CDFG text.
+    /// Unknown benchmark names, unparseable or structurally invalid CDFG
+    /// text, and constraints below one unit of either class (the
+    /// scheduler's precondition).
     pub fn resolve(&self) -> Result<(Cdfg, ResourceConstraint), ServiceError> {
+        if let Some((a, m)) = self.constraint {
+            if a < 1 || m < 1 {
+                return Err(ServiceError::InvalidConstraint(a, m));
+            }
+        }
         match &self.source {
             JobSource::Suite(name) => {
                 let p = cdfg::profile(name)

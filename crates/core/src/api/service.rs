@@ -31,6 +31,9 @@ pub enum ServiceError {
     UnknownBenchmark(String),
     /// Inline CDFG text failed to parse or validate.
     InvalidCdfg(String),
+    /// The resource constraint `(adders, mults)` allows no unit of some
+    /// class; the scheduler needs at least one of each.
+    InvalidConstraint(usize, usize),
 }
 
 impl fmt::Display for ServiceError {
@@ -40,6 +43,11 @@ impl fmt::Display for ServiceError {
                 write!(f, "unknown benchmark `{name}` (see `hlp suite`)")
             }
             ServiceError::InvalidCdfg(e) => write!(f, "invalid CDFG source: {e}"),
+            ServiceError::InvalidConstraint(adders, mults) => write!(
+                f,
+                "invalid resource constraint {adders}/{mults}: \
+                 every FU class needs at least 1 unit"
+            ),
         }
     }
 }
@@ -430,6 +438,14 @@ mod tests {
             service.execute(&garbage).unwrap_err(),
             ServiceError::InvalidCdfg(_)
         ));
+        // A class with zero units would trip the scheduler's precondition.
+        for (adders, mults) in [(0, 0), (1, 0), (0, 1)] {
+            let zero = fast("pr").constraint(adders, mults);
+            assert_eq!(
+                service.execute(&zero).unwrap_err(),
+                ServiceError::InvalidConstraint(adders, mults)
+            );
+        }
     }
 
     #[test]

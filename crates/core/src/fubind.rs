@@ -18,7 +18,7 @@
 //! matched nodes are merged, and the loop repeats until the resource
 //! constraint is met.
 
-use crate::mux::{mux_diff, mux_sizes};
+use crate::mux::{mux_diff, source_of, Source};
 use crate::regbind::RegisterBinding;
 use crate::satable::SaSource;
 use cdfg::{Cdfg, FuType, OpId, ResourceConstraint, Schedule};
@@ -178,10 +178,66 @@ impl Busy {
     }
 }
 
+#[derive(Clone)]
 struct BindNode {
     ty: FuType,
     ops: Vec<OpId>,
     busy: Busy,
+    /// Distinct sources of input ports 0 and 1 over `ops`, sorted. The
+    /// Eq. 4 mux sizes of a candidate merge are the sizes of the unions.
+    ports: [Vec<Source>; 2],
+}
+
+impl BindNode {
+    fn new(cdfg: &Cdfg, sched: &Schedule, rb: &RegisterBinding, ty: FuType, op: OpId) -> Self {
+        let mut busy = Busy::new(sched.num_steps);
+        busy.set_range(sched.start(op), sched.end(cdfg, op));
+        BindNode {
+            ty,
+            ops: vec![op],
+            busy,
+            ports: [0, 1].map(|port| vec![source_of(cdfg, rb, rb.var_on_port(cdfg, op, port))]),
+        }
+    }
+
+    /// Input mux sizes `(port0, port1)` of one unit serving both nodes'
+    /// operations: what [`crate::mux::mux_sizes`] returns for the merged
+    /// op list, without building it.
+    fn merged_mux_sizes(&self, other: &BindNode) -> (usize, usize) {
+        (
+            union_len(&self.ports[0], &other.ports[0]),
+            union_len(&self.ports[1], &other.ports[1]),
+        )
+    }
+
+    /// Merges `other`'s operations, busy steps and port sources into
+    /// this node.
+    fn absorb(&mut self, other: &BindNode) {
+        self.busy.union(&other.busy);
+        self.ops.extend_from_slice(&other.ops);
+        for (mine, theirs) in self.ports.iter_mut().zip(&other.ports) {
+            mine.extend_from_slice(theirs);
+            mine.sort_unstable();
+            mine.dedup();
+        }
+    }
+}
+
+/// Size of the union of two sorted, duplicate-free source lists.
+fn union_len(a: &[Source], b: &[Source]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a.len() + b.len() - shared
 }
 
 /// Runs HLPower functional-unit binding (Algorithm 1).
@@ -214,13 +270,7 @@ pub fn bind_hlpower<S: SaSource + ?Sized>(
         let (_, dense_ops) = sched.densest_step_ops(cdfg, ty);
         let dense: std::collections::HashSet<OpId> = dense_ops.iter().copied().collect();
         for op in cdfg.ops_of_type(ty) {
-            let mut busy = Busy::new(sched.num_steps);
-            busy.set_range(sched.start(op), sched.end(cdfg, op));
-            nodes.push(BindNode {
-                ty,
-                ops: vec![op],
-                busy,
-            });
+            nodes.push(BindNode::new(cdfg, sched, rb, ty, op));
             is_u.push(dense.contains(&op));
         }
     }
@@ -257,9 +307,7 @@ pub fn bind_hlpower<S: SaSource + ?Sized>(
                             return None;
                         }
                         num_edges += 1;
-                        let mut merged: Vec<OpId> = nodes[u].ops.clone();
-                        merged.extend_from_slice(&nodes[v].ops);
-                        let sizes = mux_sizes(cdfg, rb, &merged);
+                        let sizes = nodes[u].merged_mux_sizes(&nodes[v]);
                         let sa = table.sa(nodes[u].ty, sizes.0, sizes.1);
                         let beta = cfg.beta(nodes[u].ty);
                         let w = cfg.alpha / sa.max(1e-9)
@@ -290,10 +338,8 @@ pub fn bind_hlpower<S: SaSource + ?Sized>(
                     v_ops: nodes[v].ops.clone(),
                     weight: weights[ui][vi].unwrap_or(0.0),
                 });
-                let v_busy = nodes[v].busy.clone();
-                let v_ops = nodes[v].ops.clone();
-                nodes[u].busy.union(&v_busy);
-                nodes[u].ops.extend(v_ops);
+                let merged_in = nodes[v].clone();
+                nodes[u].absorb(&merged_in);
                 remove.push(v);
             }
         }
@@ -516,6 +562,39 @@ mod tests {
         fb.validate(&g, &sched).unwrap();
         assert!(!fb.meets(&rc), "overlapping multi-cycle ops cannot share");
         assert_eq!(fb.count(FuType::Mul), 2);
+    }
+
+    #[test]
+    fn merged_mux_sizes_match_the_mux_model() {
+        // The per-node port-source sets must give exactly the sizes the
+        // mux model computes from the merged op list, before and after
+        // merges.
+        let p = cdfg::profile("mcm").unwrap();
+        let g = cdfg::generate(p, p.seed);
+        let rc = ResourceConstraint::new(4, 2);
+        let sched = list_schedule(&g, &ResourceLibrary::default(), &rc);
+        let rb = bind_registers(&g, &sched, &RegBindConfig::default());
+        for ty in FuType::ALL {
+            let nodes: Vec<BindNode> = g
+                .ops_of_type(ty)
+                .into_iter()
+                .map(|op| BindNode::new(&g, &sched, &rb, ty, op))
+                .collect();
+            let mut acc = nodes[0].clone();
+            for (k, node) in nodes.iter().enumerate().skip(1) {
+                let mut merged = acc.ops.clone();
+                merged.extend_from_slice(&node.ops);
+                assert_eq!(
+                    acc.merged_mux_sizes(node),
+                    crate::mux::mux_sizes(&g, &rb, &merged),
+                    "{ty} node {k}"
+                );
+                if k % 2 == 0 {
+                    acc.absorb(node);
+                }
+            }
+            assert!(acc.ops.len() > 2, "{ty}: merges were exercised");
+        }
     }
 
     #[test]

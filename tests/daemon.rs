@@ -9,7 +9,9 @@
 //! * `control stats` counters reconcile with the requests actually
 //!   made, verb by verb, including batch accounting;
 //! * a `store fsck` sweep over the wire surfaces in
-//!   `control fsck-status` and inside the `control stats` block.
+//!   `control fsck-status` and inside the `control stats` block;
+//! * a request with a zero-unit constraint gets an `error` reply, and a
+//!   one-worker daemon still answers the next job.
 //!
 //! Admission control (park-with-`busy`, promotion after drain,
 //! zero-depth rejection) is covered in `remote_store.rs` alongside the
@@ -24,6 +26,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn temp_path(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -237,6 +240,59 @@ fn control_stats_counters_reconcile_with_the_requests_made() {
     assert_eq!(s.batch_largest, 2);
     // The warm store answered those batch jobs from cache.
     assert!(s.store_hits > 0, "{s:?}");
+
+    daemon.stop();
+}
+
+#[test]
+fn a_zero_unit_constraint_is_refused_and_the_only_worker_keeps_serving() {
+    let store_dir = temp_path("zero-store");
+    let socket = temp_path("zero-sock");
+    let opts = ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    };
+    let daemon = Daemon::start(&socket, &store_dir, opts);
+
+    // Raw round-trips with a read timeout, so a dead worker fails the
+    // test instead of hanging it. Returns the reply's lines, `busy`
+    // advice skipped.
+    let round_trip = |req: &JobRequest| -> Vec<String> {
+        let conn = UnixStream::connect(&socket).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        (&conn)
+            .write_all(format!("{}\n", req.to_line()).as_bytes())
+            .unwrap();
+        let mut lines = Vec::new();
+        for line in BufReader::new(&conn).lines() {
+            let line = line.expect("the daemon answers before the timeout");
+            if line.starts_with("busy") {
+                continue;
+            }
+            let last = line.starts_with("error ") || line == "end";
+            lines.push(line);
+            if last {
+                break;
+            }
+        }
+        lines
+    };
+
+    let refused = round_trip(&fast_request("pr").constraint(0, 0));
+    assert!(
+        refused.len() == 1 && refused[0].starts_with("error ") && refused[0].contains("constraint"),
+        "{refused:?}"
+    );
+    // The one worker survived: the next job is answered in full.
+    let answered = round_trip(&fast_request("wang"));
+    assert_eq!(
+        answered.first().map(String::as_str),
+        Some("# hlpower report v1")
+    );
+    assert_eq!(answered.last().map(String::as_str), Some("end"));
+    // The typed client surfaces the refusal as an error.
+    assert!(api::request(&daemon.endpoint, &fast_request("pr").constraint(1, 0)).is_err());
 
     daemon.stop();
 }

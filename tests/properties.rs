@@ -269,60 +269,104 @@ fn sweep_is_idempotent_and_map_preserves() {
 
 // ---------- matching ------------------------------------------------------
 
-/// Hungarian matching is optimal against brute force on small dense
-/// instances.
+/// Random `rows × cols` weight matrix: a quarter of the cells forbidden,
+/// the rest drawn by `weight`.
+fn arb_weights(
+    g: &mut StdRng,
+    rows: usize,
+    cols: usize,
+    mut weight: impl FnMut(&mut StdRng) -> f64,
+) -> Vec<Vec<Option<f64>>> {
+    (0..rows)
+        .map(|_| {
+            (0..cols)
+                .map(|_| (g.gen_range(0..4) != 0).then(|| weight(g)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Brute-force maximum total weight over all matchings.
+fn brute_force_matching(w: &[Vec<Option<f64>>], used: &mut [bool], row: usize) -> f64 {
+    if row == w.len() {
+        return 0.0;
+    }
+    let mut best = brute_force_matching(w, used, row + 1);
+    for (c, x) in w[row].iter().enumerate() {
+        if let (false, Some(x)) = (used[c], *x) {
+            used[c] = true;
+            best = best.max(x + brute_force_matching(w, used, row + 1));
+            used[c] = false;
+        }
+    }
+    best
+}
+
+/// The matcher returns a valid partial permutation over allowed cells,
+/// no allowed edge joins an unmatched row to an unmatched column, and
+/// its total equals the brute-force optimum.
+fn assert_optimal_matching(case: &str, w: &[Vec<Option<f64>>], cols: usize) {
+    let m = max_weight_matching(w);
+    assert_eq!(m.len(), w.len(), "{case}: one entry per row");
+    let mut used = vec![false; cols];
+    let mut total = 0.0;
+    for (r, c) in m.iter().enumerate() {
+        if let Some(c) = *c {
+            assert!(!used[c], "{case}: column {c} used twice");
+            used[c] = true;
+            total += w[r][c].unwrap_or_else(|| panic!("{case}: row {r} on forbidden column {c}"));
+        }
+    }
+    for (r, row) in w.iter().enumerate() {
+        for (c, x) in row.iter().enumerate() {
+            assert!(
+                m[r].is_some() || used[c] || x.is_none(),
+                "{case}: edge ({r}, {c}) could still be added"
+            );
+        }
+    }
+    let best = brute_force_matching(w, &mut vec![false; cols], 0);
+    assert!(
+        (total - best).abs() <= 1e-12 * best.abs(),
+        "{case}: got {total} optimal {best}"
+    );
+}
+
+/// Hungarian matching is optimal against brute force: on small dense
+/// instances with integer weights, and on tie-heavy rectangles in both
+/// orientations whose weights take only a few Eq. 4-style float levels
+/// (the shape Algorithm 1 solves: few `U` rows, many `V` columns).
 #[test]
 fn matching_is_optimal() {
     for case in 0..256u64 {
         let mut g = case_rng(case);
         let rows = g.gen_range(1..5);
         let cols = g.gen_range(1..5);
-        let w: Vec<Vec<Option<f64>>> = (0..rows)
+        let w = arb_weights(&mut g, rows, cols, |g| g.gen_range(1..100) as f64);
+        assert_optimal_matching(&format!("integer case {case}"), &w, cols);
+    }
+    for case in 0..384u64 {
+        let mut g = case_rng(case);
+        // 2–6 Eq. 4 levels, α/SA + (1 − α)/((muxDiff + 1)·β), so many
+        // cells tie exactly; mixing α and β spreads the levels over
+        // three orders of magnitude.
+        let levels: Vec<f64> = (0..g.gen_range(2..7))
             .map(|_| {
-                (0..cols)
-                    .map(|_| {
-                        if g.gen_range(0..4) == 0 {
-                            None
-                        } else {
-                            Some(g.gen_range(1..100) as f64)
-                        }
-                    })
-                    .collect()
+                let alpha = [0.0, 0.5, 1.0][g.gen_range(0..3)];
+                let sa = 5.0 + 0.37 * g.gen_range(0..40) as f64;
+                let mux_diff = g.gen_range(0..6) as f64;
+                let beta = [30.0, 1000.0][g.gen_range(0..2)];
+                alpha / sa + (1.0 - alpha) / ((mux_diff + 1.0) * beta)
             })
             .collect();
-        let m = max_weight_matching(&w);
-        // validity
-        let mut used = vec![false; cols];
-        let mut total = 0.0;
-        for (r, c) in m.iter().enumerate() {
-            if let Some(c) = *c {
-                assert!(!used[c], "case {case}: column {c} used twice");
-                used[c] = true;
-                total += w[r][c].unwrap();
-            }
-        }
-        // brute force
-        fn brute(w: &[Vec<Option<f64>>], used: &mut Vec<bool>, row: usize) -> f64 {
-            if row == w.len() {
-                return 0.0;
-            }
-            let mut best = brute(w, used, row + 1);
-            for c in 0..w[row].len() {
-                if !used[c] {
-                    if let Some(x) = w[row][c] {
-                        used[c] = true;
-                        best = best.max(x + brute(w, used, row + 1));
-                        used[c] = false;
-                    }
-                }
-            }
-            best
-        }
-        let best = brute(&w, &mut vec![false; cols], 0);
-        assert!(
-            (total - best).abs() < 1e-9,
-            "case {case}: got {total} optimal {best}"
-        );
+        let (short, long) = (g.gen_range(1..6), g.gen_range(2..10));
+        let (rows, cols) = if case % 3 == 0 {
+            (long.max(short + 1), short)
+        } else {
+            (short, long.max(short + 1))
+        };
+        let w = arb_weights(&mut g, rows, cols, |g| levels[g.gen_range(0..levels.len())]);
+        assert_optimal_matching(&format!("tie case {case} ({rows}x{cols})"), &w, cols);
     }
 }
 

@@ -7,7 +7,8 @@
 //!   schedule/map/simulate stages** and its reply is **byte-identical**
 //!   to every later warm reply;
 //! * a remote report equals a local store-backed report;
-//! * daemon-side failures come back as error replies, not hangs.
+//! * daemon-side failures come back as error replies, not hangs;
+//! * the CLI refuses a zero-unit constraint with a diagnostic.
 
 use hlpower::api::{request, Endpoint, JobReport, JobRequest, Server, Service};
 use hlpower::{ArtifactStore, Binder, FlowConfig, Pipeline};
@@ -139,5 +140,26 @@ fn daemon_serves_concurrent_clients_deterministically() {
     for handle in handles {
         let report = handle.join().unwrap();
         assert_eq!(result_text(&report), result_text(&reference));
+    }
+}
+
+#[test]
+fn cli_refuses_a_zero_unit_constraint_with_a_diagnostic() {
+    for (adders, mults) in [("1", "0"), ("0", "0")] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hlp"))
+            .args(["bench", "pr", "--width", "4", "--cycles", "10"])
+            .args(["--adders", adders, "--mults", mults])
+            .output()
+            .expect("spawn hlp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--adders {adders} --mults {mults} is a runtime error, not a panic:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("constraint {adders}/{mults}")),
+            "the diagnostic names the constraint:\n{stderr}"
+        );
     }
 }
