@@ -1,12 +1,13 @@
-//! Warm artifact-store reads: the same mapped 8x8 multiplier netlist,
-//! stored once as text and once as binary (`hlpbin`), timed through the
-//! store's `get` path. Plain `harness = false` timer (criterion is
-//! unavailable offline).
+//! Warm artifact-store reads of a mapped 16x16 multiplier netlist,
+//! timed through the store's `get` path against reading the same
+//! netlist back from its exact text rendering ([`netlist::textio`]).
+//! Plain `harness = false` timer (criterion is unavailable offline).
 //!
 //! Three timings, two asserted floors:
 //!
-//! * **text get+parse** — warm `load_mapped` from a text store: the
-//!   full line-oriented parse plus the structural `check` walk.
+//! * **text read+parse** — the netlist's text file read back with
+//!   `parse_netlist_text` plus the structural `check` walk: the cost of
+//!   any line-oriented encoding of the artifact.
 //! * **binary get+decode** — warm `load_mapped` from a binary store:
 //!   the exact codec rebuilding the owned netlist. Still allocates one
 //!   name string per node, so the win is real but bounded; the floor
@@ -24,7 +25,7 @@
 //! cargo bench -p hlpower-bench --bench codec
 //! ```
 
-use hlpower::{ArtifactStore, Fingerprint, MappedArtifact, StoreFormat};
+use hlpower::{ArtifactStore, Fingerprint, MappedArtifact};
 use netlist::binio::{BinReader, KIND_MAPPED};
 use std::time::Instant;
 
@@ -78,17 +79,18 @@ fn main() {
     let fp = Fingerprint(1);
     let iters = 30;
 
-    let text_dir = base.join("text");
-    let _ = std::fs::remove_dir_all(&text_dir);
-    let text_store = ArtifactStore::open(&text_dir)
-        .expect("create bench store")
-        .with_format(StoreFormat::Text);
-    text_store.save_mapped(fp, &artifact);
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("create bench dir");
+    let text_path = base.join("mul16.txt");
+    std::fs::write(&text_path, netlist::write_netlist_text(&artifact.netlist))
+        .expect("write text netlist");
     let text_parse = min_secs(iters, || {
-        let back = text_store.load_mapped(fp).expect("warm get hits");
-        assert_eq!(back.luts, artifact.luts);
+        let text = std::fs::read_to_string(&text_path).expect("read text netlist");
+        let back = netlist::parse_netlist_text(&text).expect("exact text parses");
+        back.check().expect("valid netlist");
+        assert_eq!(back.num_logic(), artifact.luts);
     });
-    report("text_get+parse", text_parse);
+    report("text_read+parse", text_parse);
 
     let bin_dir = base.join("binary");
     let _ = std::fs::remove_dir_all(&bin_dir);

@@ -15,12 +15,10 @@
 
 use cdfg::{Cdfg, ResourceConstraint};
 use hlpower::api::{JobRequest, Service};
-use hlpower::{
-    paper_constraint, ArtifactStore, Binder, FlowConfig, FlowResult, Pipeline, Shard, StoreFormat,
-};
+use hlpower::{paper_constraint, ArtifactStore, Binder, FlowConfig, FlowResult, Pipeline, Shard};
 use std::sync::Arc;
 
-/// Default word-parallel lane count of the experiment binaries. The
+/// Default simulation lane count of the experiment binaries. The
 /// bit-sliced engine makes a 64× vector budget nearly free, so the
 /// binaries simulate at full width unless `--paper-exact` restores the
 /// paper's single-stream tables.
@@ -30,9 +28,9 @@ pub const DEFAULT_LANES: usize = 64;
 ///
 /// Flags: `--width N`, `--cycles N`, `--sa-width N`, `--seed N` (sets
 /// both the simulation and the register-port seed), `--lanes N`
-/// (word-parallel simulation lanes, 1..=512 — above 64 the multi-word
-/// slab engine packs `lanes/64` words per node; `0` selects the scalar
-/// reference engine; default [`DEFAULT_LANES`]), `--paper-exact`
+/// (simulation lanes, 0..=512 — `0` and `1` run one vector stream on the
+/// scalar reference engine, `2..=512` run the bit-sliced slab engine with
+/// `lanes/64` words per node; default [`DEFAULT_LANES`]), `--paper-exact`
 /// (restore the paper's `--lanes 1` single-stream tables),
 /// `--bench NAME` (repeatable), `--binder SPEC` (repeatable, see
 /// [`Binder::parse`]), `--jobs N` (parallel fan-out width), `--fast`
@@ -40,8 +38,6 @@ pub const DEFAULT_LANES: usize = 64;
 /// artifact store: prepared schedules, mapped netlists, simulation
 /// summaries, and the SA table are cached across runs; a directory, or
 /// `remote:ADDR` for the shared hot store of an `hlp serve` daemon),
-/// `--store-format binary|text` (encoding for new store writes;
-/// binary `hlpbin` is the default, readers sniff either),
 /// `--shard i/N` (run only this worker's slice of the benchmark ×
 /// binder matrix into the store; requires `--store`, combine local
 /// shard stores with `hlp merge` — sharding straight into one
@@ -61,8 +57,6 @@ pub struct Args {
     pub jobs: usize,
     /// Artifact-store directory (`--store`).
     pub store: Option<String>,
-    /// Encoding for new store writes (`--store-format`).
-    pub store_format: StoreFormat,
     /// This worker's slice of the job matrix (`--shard`).
     pub shard: Shard,
 }
@@ -91,7 +85,6 @@ impl Args {
         let mut binders = Vec::new();
         let mut jobs = default_jobs();
         let mut store = None;
-        let mut store_format = StoreFormat::default();
         let mut shard = Shard::full();
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -118,8 +111,8 @@ impl Args {
                 "--sa-width" => flow.sa_width = parsed(&flag, &take_value(&mut i), "an integer"),
                 "--cycles" => flow.sim_cycles = parsed(&flag, &take_value(&mut i), "an integer"),
                 "--lanes" => {
-                    // 0 = scalar reference engine, 1..=64 = word engine,
-                    // 65..=512 = multi-word slab engine.
+                    // 0 and 1 = scalar reference engine, 2..=512 =
+                    // bit-sliced slab engine.
                     let v = take_value(&mut i);
                     flow.lanes = parsed(&flag, &v, "a lane count in 0..=512");
                     if flow.lanes > gatesim::MAX_SLAB_LANES {
@@ -159,11 +152,6 @@ impl Args {
                 }
                 "--bench" => only.push(take_value(&mut i)),
                 "--store" => store = Some(take_value(&mut i)),
-                "--store-format" => {
-                    let v = take_value(&mut i);
-                    store_format = StoreFormat::parse(&v)
-                        .unwrap_or_else(|| bad_value(&flag, &v, "binary | text"));
-                }
                 "--shard" => {
                     let spec = take_value(&mut i);
                     shard = Shard::parse(&spec)
@@ -192,7 +180,6 @@ impl Args {
             binders,
             jobs,
             store,
-            store_format,
             shard,
         }
     }
@@ -263,11 +250,10 @@ impl Args {
         let service = Service::new().with_template(self.flow.clone());
         match &self.store {
             Some(spec) => {
-                let store =
-                    ArtifactStore::open_spec_with(spec, self.store_format).unwrap_or_else(|e| {
-                        eprintln!("cannot open artifact store `{spec}`: {e}");
-                        std::process::exit(1);
-                    });
+                let store = ArtifactStore::open_spec(spec).unwrap_or_else(|e| {
+                    eprintln!("cannot open artifact store `{spec}`: {e}");
+                    std::process::exit(1);
+                });
                 service.with_store(Arc::new(store))
             }
             None => service,
@@ -425,7 +411,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: <bin> [--width N] [--sa-width N] [--cycles N] [--seed N] [--lanes N] \
          [--paper-exact] [--bench NAME]... [--binder SPEC[:ALPHA]]... [--jobs N] [--fast] \
-         [--store DIR] [--store-format binary|text] [--shard i/N]"
+         [--store DIR] [--shard i/N]"
     );
     std::process::exit(2)
 }
@@ -585,7 +571,6 @@ mod tests {
             binders: vec![],
             jobs: 1,
             store: None,
-            store_format: StoreFormat::default(),
             shard: Shard::full(),
         };
         let suite: Vec<(Cdfg, ResourceConstraint)> = ["pr", "wang"]

@@ -152,8 +152,8 @@ pub struct JobRequest {
     pub binder: Binder,
     /// Simulated clock cycles.
     pub cycles: u64,
-    /// Word-parallel simulation lanes (0 = scalar reference engine,
-    /// 1..=64 = single-word engine, 65..=512 = multi-word slab engine).
+    /// Simulation lanes (0 and 1 = one stream on the scalar reference
+    /// engine, 2..=512 = bit-sliced slab engine).
     pub lanes: usize,
     /// SA-table training mode.
     pub sa_mode: SaMode,
@@ -223,7 +223,7 @@ impl JobRequest {
         self
     }
 
-    /// Sets the word-parallel lane count.
+    /// Sets the simulation lane count.
     pub fn lanes(mut self, lanes: usize) -> JobRequest {
         self.lanes = lanes;
         self
@@ -278,13 +278,18 @@ impl JobRequest {
     /// # Errors
     ///
     /// Unknown benchmark names, unparseable or structurally invalid CDFG
-    /// text, and constraints below one unit of either class (the
-    /// scheduler's precondition).
+    /// text, a CDFG with no operations (its schedule has no control
+    /// steps to cycle through), constraints below one unit of either
+    /// class (the scheduler's precondition), and a zero cycle count (the
+    /// power model averages over simulated cycles).
     pub fn resolve(&self) -> Result<(Cdfg, ResourceConstraint), ServiceError> {
         if let Some((a, m)) = self.constraint {
             if a < 1 || m < 1 {
                 return Err(ServiceError::InvalidConstraint(a, m));
             }
+        }
+        if self.cycles == 0 {
+            return Err(ServiceError::ZeroCycles);
         }
         match &self.source {
             JobSource::Suite(name) => {
@@ -301,6 +306,11 @@ impl JobRequest {
                     cdfg::parse_cdfg(text).map_err(|e| ServiceError::InvalidCdfg(e.to_string()))?;
                 g.check()
                     .map_err(|e| ServiceError::InvalidCdfg(e.to_string()))?;
+                if g.num_ops() == 0 {
+                    return Err(ServiceError::InvalidCdfg(
+                        "no operations to schedule or bind".to_string(),
+                    ));
+                }
                 let rc = match self.constraint {
                     Some((a, m)) => ResourceConstraint::new(a, m),
                     None => ResourceConstraint::new(2, 2),

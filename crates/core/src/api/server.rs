@@ -634,8 +634,7 @@ fn perform_store_verb(
             if let Err(e) = check(kind, name) {
                 return fail(e);
             }
-            // The body is stored verbatim (no transcode; the extension
-            // is picked by sniffing the magic, in the store) — but not
+            // The body is stored verbatim (no transcode) — but not
             // blindly: it must pass the same static audit `hlp fsck`
             // applies, so one misbehaving client cannot seed the shared
             // store with bytes every other client would then trip over.
@@ -652,21 +651,9 @@ fn perform_store_verb(
         }
         ["store", "put-sa", len] => {
             let body = body.unwrap_or_default();
-            // Clients send whichever encoding is cheapest for them
-            // (binary over the wire by default); both are accepted.
-            let table = if netlist::binio::is_binary(&body) {
-                match SaTable::from_bin(&body) {
-                    Ok(table) => table,
-                    Err(e) => return fail(format!("unparseable SA table: {e}")),
-                }
-            } else {
-                let Ok(text) = std::str::from_utf8(&body) else {
-                    return fail("SA table body is neither hlpbin nor UTF-8 text".to_string());
-                };
-                match SaTable::from_text(text) {
-                    Ok(table) => table,
-                    Err(e) => return fail(format!("unparseable SA table: {e}")),
-                }
+            let table = match SaTable::from_bin(&body) {
+                Ok(table) => table,
+                Err(e) => return fail(format!("unparseable SA table: {e}")),
             };
             // The parsed header names the shard this body would merge
             // into; run the body through the same audit `hlp fsck`

@@ -34,6 +34,9 @@ pub enum ServiceError {
     /// The resource constraint `(adders, mults)` allows no unit of some
     /// class; the scheduler needs at least one of each.
     InvalidConstraint(usize, usize),
+    /// The request asked for zero simulated cycles; power is averaged
+    /// over cycles, so at least one is needed.
+    ZeroCycles,
 }
 
 impl fmt::Display for ServiceError {
@@ -48,6 +51,12 @@ impl fmt::Display for ServiceError {
                 "invalid resource constraint {adders}/{mults}: \
                  every FU class needs at least 1 unit"
             ),
+            ServiceError::ZeroCycles => {
+                write!(
+                    f,
+                    "invalid cycle count 0: simulation needs at least 1 cycle"
+                )
+            }
         }
     }
 }
@@ -446,6 +455,17 @@ mod tests {
                 ServiceError::InvalidConstraint(adders, mults)
             );
         }
+        // No operations means zero schedule steps to cycle through.
+        let opless = JobRequest::from_cdfg_text("cdfg t\ninput a\noutput a\n");
+        assert!(matches!(
+            service.execute(&opless).unwrap_err(),
+            ServiceError::InvalidCdfg(_)
+        ));
+        // The power model averages over simulated cycles.
+        assert_eq!(
+            service.execute(&fast("wang").cycles(0)).unwrap_err(),
+            ServiceError::ZeroCycles
+        );
     }
 
     #[test]

@@ -183,7 +183,7 @@ pub(crate) fn write_watermark(root: &Path, kind: &str, name: &str, wm: &Watermar
 }
 
 /// Drops a slot's watermark — called whenever its artifact is
-/// rewritten, converted, or quarantined, so the audit story can never
+/// rewritten or quarantined, so the audit story can never
 /// outlive the bytes it vouched for.
 pub(crate) fn invalidate_watermark(root: &Path, kind: &str, name: &str) {
     let _ = fs::remove_file(watermark_path(root, kind, name));
@@ -211,16 +211,10 @@ pub(crate) fn sweep_orphan_watermarks(root: &Path, kind: &str, live: &[String]) 
 }
 
 /// Returns the artifact file path backing `(kind, name)` in a local
-/// store — `.bin` preferred, `.txt` otherwise — so the fsck walk can
-/// stat the same file it read.
+/// store, if it exists, so the fsck walk can stat the same file it read.
 pub(crate) fn slot_path(root: &Path, kind: &str, name: &str) -> Option<PathBuf> {
-    for ext in ["bin", "txt"] {
-        let path = root.join(kind).join(format!("{name}.{ext}"));
-        if path.is_file() {
-            return Some(path);
-        }
-    }
-    None
+    let path = root.join(kind).join(format!("{name}.bin"));
+    path.is_file().then_some(path)
 }
 
 #[cfg(test)]

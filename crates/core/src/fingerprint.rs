@@ -19,10 +19,7 @@
 //!
 //! Fingerprints address *content*, never encoding: they are computed
 //! from the in-memory artifact's ingredients, not from its serialized
-//! bytes, so a store slot keeps its name whether the artifact is
-//! written as text or binary (`hlpbin`) — which is what lets
-//! `hlp store convert` migrate a store in place without invalidating
-//! a single key.
+//! bytes, so a store slot keeps its name across codec versions.
 
 use crate::flow::FlowConfig;
 use crate::fubind::FuBinding;

@@ -127,7 +127,7 @@ pub struct FlowConfig {
     /// How SA-table entries are obtained for the main (glitch-aware)
     /// binders: [`SaMode::Precalculated`] (the paper's estimator, the
     /// default), [`SaMode::Dynamic`] (uncached estimator), or
-    /// [`SaMode::Simulated`] (entries measured by the word-parallel
+    /// [`SaMode::Simulated`] (entries measured by the bit-sliced slab
     /// simulator). The zero-delay ablation binder always uses its own
     /// [`SaMode::ZeroDelayAblation`] cache regardless of this setting.
     pub sa_mode: SaMode,
@@ -137,15 +137,13 @@ pub struct FlowConfig {
     pub sim_cycles: u64,
     /// Seed for simulation vectors.
     pub sim_seed: u64,
-    /// Word-parallel simulation lanes. `0` selects the scalar reference
-    /// engine ([`gatesim::CycleSim`]); `1..=64` selects the bit-sliced
-    /// [`gatesim::WordSim`]; `65..=512` ([`gatesim::MAX_SLAB_LANES`])
-    /// selects the multi-word [`gatesim::SlabSim`] with
-    /// `lanes.div_ceil(64)` words per node. Every lane is an independent
-    /// vector stream seeded via [`gatesim::lane_seed`]`(sim_seed, lane)`:
-    /// lane 0 replays the scalar stream, so `lanes == 1` is
-    /// byte-identical to `lanes == 0`, and any lane count is the exact
-    /// lane-decomposition of its 64-lane sub-runs — `lanes == 256`
+    /// Simulation lanes: independent vector streams, lane `L` seeded via
+    /// [`gatesim::lane_seed`]`(sim_seed, L)`. `0` and `1` both run the
+    /// one stream on the scalar reference engine ([`gatesim::CycleSim`]);
+    /// lane 0 is the scalar stream, so the two are the same run.
+    /// `2..=512` ([`gatesim::MAX_SLAB_LANES`]) run the bit-sliced
+    /// [`gatesim::SlabSim`] with `lanes.div_ceil(64)` words per node, the
+    /// exact lane-decomposition of per-lane scalar runs — `lanes == 256`
     /// simulates a 256× vector budget in one activity-gated wheel pass
     /// per cycle.
     pub lanes: usize,
@@ -353,7 +351,7 @@ pub fn bind<S: SaSource + ?Sized>(
 
 /// Builds the SA table a binder needs for a flow configuration: the
 /// zero-delay ablation binder gets its dedicated glitch-blind mode,
-/// every other binder gets `cfg.sa_mode` (estimator or word-parallel
+/// every other binder gets `cfg.sa_mode` (estimator or bit-sliced
 /// simulation).
 pub fn sa_table_for(cfg: &FlowConfig, binder: Binder) -> SaTable {
     let mode = match binder {
@@ -475,18 +473,14 @@ pub fn measure(
 /// background for every binding, so differences reflect the bound
 /// datapath's structure.
 ///
-/// Dispatches on `cfg.lanes`: `0` runs the scalar reference engine
-/// ([`simulate_scalar`]); `1..=64` runs the word-parallel engine
-/// ([`simulate_word`]); above 64 runs the multi-word slab engine
-/// ([`simulate_slab`]) up to [`gatesim::MAX_SLAB_LANES`] lanes. Because
-/// lane 0 replays the scalar vector stream, `lanes == 1` produces
-/// statistics byte-identical to the scalar engine's, and every slab lane
-/// replays the scalar run seeded [`gatesim::lane_seed`]`(sim_seed, L)`.
+/// Dispatches on `cfg.lanes`: `0` or `1` runs the one vector stream on
+/// the scalar reference engine ([`simulate_scalar`]); `2..=512` runs the
+/// bit-sliced slab engine ([`simulate_slab`]). Lane 0 of a slab run
+/// replays the scalar vector stream, and every slab lane replays the
+/// scalar run seeded [`gatesim::lane_seed`]`(sim_seed, L)`.
 pub fn simulate(dp: &Datapath, mapped: &netlist::Netlist, cfg: &FlowConfig) -> gatesim::SimStats {
-    if cfg.lanes == 0 {
+    if cfg.lanes <= 1 {
         simulate_scalar(dp, mapped, cfg)
-    } else if cfg.lanes <= gatesim::MAX_LANES {
-        simulate_word(dp, mapped, cfg, cfg.lanes)
     } else {
         simulate_slab(dp, mapped, cfg, cfg.lanes)
     }
@@ -535,63 +529,15 @@ pub fn simulate_scalar(
     sim.stats().clone()
 }
 
-/// The word-parallel implementation of [`simulate`] on
-/// [`gatesim::WordSim`]: `lanes` independent vector streams advance in
-/// one event-wheel pass per clock cycle. Lane `L` draws its data-pin
-/// noise from [`gatesim::lane_seed`]`(cfg.sim_seed, L)` in the exact
-/// per-cycle order of the scalar engine, and the schedule-driven control
-/// pins are identical across lanes — so every lane is a faithful replay
-/// of a scalar run, and the cumulative statistics cover
-/// `cfg.sim_cycles × lanes` lane-cycles.
-pub fn simulate_word(
-    dp: &Datapath,
-    mapped: &netlist::Netlist,
-    cfg: &FlowConfig,
-    lanes: usize,
-) -> gatesim::SimStats {
-    let mut sim = gatesim::WordSim::new(mapped, lanes);
-    // One stream per lane, seeded by the WordVectorSource contract (lane
-    // 0 == the scalar stream). Data-port values are drawn per lane in
-    // the scalar engine's per-cycle order, then the resulting scalar PI
-    // vectors are packed one bit per lane.
-    let mut src = gatesim::WordVectorSource::new(cfg.sim_seed, lanes);
-    let mask = width_mask(cfg.width);
-    let mut data: Vec<u64> = vec![0; dp.data_ports.len()];
-    let mut words: Vec<u64> = vec![0; mapped.inputs().len()];
-    // Reused scratch: drawing 64 lanes x data_ports vectors per cycle
-    // must not allocate, or PI generation would dominate the event-wheel
-    // savings.
-    let mut bits = vec![false; cfg.width];
-    let mut pi = vec![false; mapped.inputs().len()];
-    for c in 0..cfg.sim_cycles {
-        let step = (c % dp.num_steps as u64) as u32;
-        words.fill(0);
-        for lane in 0..lanes {
-            for d in &mut data {
-                // Same per-port draw order as the scalar engine (`fill`
-                // and `next_vector` consume the stream identically).
-                src.lane(lane).fill(&mut bits);
-                *d = pack_bits(&bits, mask);
-            }
-            dp.fill_input_vector(step, &data, &mut pi);
-            for (w, &b) in words.iter_mut().zip(&pi) {
-                *w |= (b as u64) << lane;
-            }
-        }
-        sim.step(&words);
-    }
-    sim.stats().clone()
-}
-
-/// The multi-word slab implementation of [`simulate`] on
-/// [`gatesim::SlabSim`]: up to [`gatesim::MAX_SLAB_LANES`] independent
-/// vector streams advance in one activity-gated event-wheel pass per
-/// clock cycle. Global lane `L` (slab word `L / 64`, bit `L % 64`) draws
-/// its data-pin noise from [`gatesim::lane_seed`]`(cfg.sim_seed, L)` in
-/// the exact per-cycle order of the scalar engine, and the
-/// schedule-driven control pins are identical across lanes — so every
-/// lane is a faithful replay of a scalar run, the first 64 lanes replay
-/// [`simulate_word`]'s, and the cumulative statistics cover
+/// The bit-sliced implementation of [`simulate`] on
+/// [`gatesim::SlabSim`]: `lanes` (up to [`gatesim::MAX_SLAB_LANES`])
+/// independent vector streams advance in one activity-gated event-wheel
+/// pass per clock cycle. Global lane `L` (slab word `L / 64`, bit
+/// `L % 64`) draws its data-pin noise from
+/// [`gatesim::lane_seed`]`(cfg.sim_seed, L)` in the exact per-cycle order
+/// of the scalar engine, and the schedule-driven control pins are
+/// identical across lanes — so every lane is a faithful replay of a
+/// scalar run, and the cumulative statistics cover
 /// `cfg.sim_cycles × lanes` lane-cycles.
 pub fn simulate_slab(
     dp: &Datapath,
@@ -770,10 +716,10 @@ mod tests {
 
     #[test]
     fn word_engine_at_one_lane_matches_scalar_engine() {
-        // The paper tables all run at the default `lanes = 1`; this is
-        // the guarantee that moving them onto the word engine changed
-        // nothing: full-flow results must be identical to the scalar
-        // reference engine (`lanes = 0`).
+        // The paper tables all run one vector stream, which `lanes = 1`
+        // dispatches to the scalar reference engine. The one-word slab
+        // engine at one lane must replay that stream node for node, and
+        // the `lanes = 1` and `lanes = 0` flows must agree in full.
         let p = cdfg::profile("pr").unwrap();
         let g = cdfg::generate(p, p.seed);
         let rc = paper_constraint("pr").unwrap();
@@ -781,17 +727,29 @@ mod tests {
             lanes: 0,
             ..FlowConfig::fast()
         };
-        let word_cfg = FlowConfig {
+        let one_lane_cfg = FlowConfig {
             lanes: 1,
             ..FlowConfig::fast()
         };
         let binder = Binder::HlPower { alpha: 0.5 };
         let s = run_benchmark(&g, &rc, binder, &scalar_cfg);
-        let w = run_benchmark(&g, &rc, binder, &word_cfg);
+        let w = run_benchmark(&g, &rc, binder, &one_lane_cfg);
         assert_eq!(s.power.total_transitions, w.power.total_transitions);
         assert_eq!(s.power.glitch_fraction, w.power.glitch_fraction);
         assert_eq!(s.power.dynamic_power_mw, w.power.dynamic_power_mw);
         assert_eq!(s.luts, w.luts);
+
+        let (sched, rb) = prepare(&g, &rc, &one_lane_cfg);
+        let mut table = sa_table_for(&one_lane_cfg, binder);
+        let outcome = bind(&g, &sched, &rb, &rc, binder, &mut table);
+        let (dp, mapped) = elaborate_map(&g, &sched, &rb, &outcome.fb, &one_lane_cfg);
+        let scalar = simulate_scalar(&dp, &mapped.netlist, &one_lane_cfg);
+        let word = simulate_slab(&dp, &mapped.netlist, &one_lane_cfg, 1);
+        assert_eq!(word.cycles, scalar.cycles);
+        assert_eq!(word.total_transitions, scalar.total_transitions);
+        assert_eq!(word.functional_transitions, scalar.functional_transitions);
+        assert_eq!(word.glitch_transitions, scalar.glitch_transitions);
+        assert_eq!(word.per_node, scalar.per_node);
     }
 
     #[test]
@@ -850,12 +808,12 @@ mod tests {
     }
 
     #[test]
-    fn slab_flow_decomposes_into_word_flow_lanes() {
-        // The flow-level lane contract: the first 64 lanes of a slab
-        // simulation are exactly the word engine's 64 lanes, because
-        // both seed global lane L with lane_seed(sim_seed, L). A 64-lane
-        // slab run (one word) must therefore reproduce simulate_word
-        // stat for stat through the full flow.
+    fn slab_flow_decomposes_into_scalar_flow_lanes() {
+        // The flow-level lane contract: lane L of a slab simulation is
+        // the scalar flow run with `sim_seed = lane_seed(sim_seed, L)`,
+        // data pins and control program included. A 66-lane run (two
+        // slab words, the second partial) must equal the sum of its 66
+        // scalar lane runs stat for stat.
         let p = cdfg::profile("wang").unwrap();
         let g = cdfg::generate(p, p.seed);
         let rc = paper_constraint("wang").unwrap();
@@ -868,18 +826,37 @@ mod tests {
         let mut table = sa_table_for(&cfg, binder);
         let outcome = bind(&g, &sched, &rb, &rc, binder, &mut table);
         let (dp, mapped) = elaborate_map(&g, &sched, &rb, &outcome.fb, &cfg);
-        let word = simulate_word(&dp, &mapped.netlist, &cfg, 64);
-        let slab = simulate_slab(&dp, &mapped.netlist, &cfg, 64);
-        assert_eq!(slab.total_transitions, word.total_transitions);
-        assert_eq!(slab.functional_transitions, word.functional_transitions);
-        assert_eq!(slab.glitch_transitions, word.glitch_transitions);
-        assert_eq!(slab.per_node, word.per_node);
+        let lanes = 66;
+        let slab = simulate_slab(&dp, &mapped.netlist, &cfg, lanes);
+        let mut sum = gatesim::SimStats {
+            per_node: vec![0; mapped.netlist.num_nodes()],
+            ..gatesim::SimStats::default()
+        };
+        for lane in 0..lanes {
+            let lane_cfg = FlowConfig {
+                sim_seed: gatesim::lane_seed(cfg.sim_seed, lane),
+                ..cfg.clone()
+            };
+            let s = simulate_scalar(&dp, &mapped.netlist, &lane_cfg);
+            sum.cycles += s.cycles;
+            sum.total_transitions += s.total_transitions;
+            sum.functional_transitions += s.functional_transitions;
+            sum.glitch_transitions += s.glitch_transitions;
+            for (acc, x) in sum.per_node.iter_mut().zip(&s.per_node) {
+                *acc += x;
+            }
+        }
+        assert_eq!(slab.cycles, sum.cycles);
+        assert_eq!(slab.total_transitions, sum.total_transitions);
+        assert_eq!(slab.functional_transitions, sum.functional_transitions);
+        assert_eq!(slab.glitch_transitions, sum.glitch_transitions);
+        assert_eq!(slab.per_node, sum.per_node);
     }
 
     #[test]
     fn simulated_sa_mode_binds_end_to_end() {
-        // Edge weights measured by the word-parallel simulator instead
-        // of the analytic estimator must drive the full flow.
+        // Edge weights measured by the slab simulator instead of the
+        // analytic estimator must drive the full flow.
         let p = cdfg::profile("wang").unwrap();
         let g = cdfg::generate(p, p.seed);
         let rc = paper_constraint("wang").unwrap();

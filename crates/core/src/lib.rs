@@ -77,8 +77,7 @@ pub use satable::{
 };
 pub use store::{
     audit_artifact_auto, audit_artifact_bytes, fix_artifact_auto, ArtifactBytes, ArtifactStore,
-    CodecNanos, ConvertReport, FixVerdict, FsckIssue, FsckReport, GcPolicy, GcReport, KindUsage,
-    LocalStore, MappedArtifact, MergeReport, RemoteStore, StoreBackend, StoreCounts, StoreFormat,
-    StoreUsage,
+    CodecNanos, FixVerdict, FsckIssue, FsckReport, GcPolicy, GcReport, KindUsage, LocalStore,
+    MappedArtifact, MergeReport, RemoteStore, StoreBackend, StoreCounts, StoreUsage,
 };
 pub use vhdl::write_vhdl;

@@ -884,7 +884,7 @@ mod tests {
 
     #[test]
     fn word_sim_lanes_are_deterministic_across_job_counts() {
-        // The word-parallel engine must not disturb the pipeline's
+        // The bit-sliced engine must not disturb the pipeline's
         // jobs-independence guarantee, and one lane must reproduce the
         // scalar engine bit for bit through the whole staged flow.
         let suite = small_suite(&["wang"]);
@@ -893,7 +893,7 @@ mod tests {
             lanes: 0,
             ..FlowConfig::fast()
         };
-        let word_cfg = FlowConfig {
+        let one_lane_cfg = FlowConfig {
             lanes: 1,
             ..FlowConfig::fast()
         };
@@ -902,7 +902,7 @@ mod tests {
             ..FlowConfig::fast()
         };
         let scalar = Pipeline::new(scalar_cfg).run_matrix(&suite, &binders, 1);
-        let one_lane = Pipeline::new(word_cfg).run_matrix(&suite, &binders, 2);
+        let one_lane = Pipeline::new(one_lane_cfg).run_matrix(&suite, &binders, 2);
         assert_eq!(
             scalar[0][0].power.total_transitions,
             one_lane[0][0].power.total_transitions

@@ -101,7 +101,7 @@ pub const SIM_TRAIN_STEPS: u64 = 64;
 /// random vectors are simulated per table entry in `SIM_TRAIN_STEPS`
 /// activity-gated event-wheel passes of the multi-word slab engine
 /// ([`gatesim::SlabSim`], 4 words per node at 256 lanes).
-pub const SIM_TRAIN_LANES: usize = 4 * gatesim::MAX_LANES;
+pub const SIM_TRAIN_LANES: usize = 256;
 /// Fixed vector seed of the training runs — part of the table's identity
 /// (two tables trained with the same constants are bit-identical).
 pub const SIM_TRAIN_SEED: u64 = 0x5A7AB1E;
@@ -128,7 +128,7 @@ pub fn simulate_sa(fu: FuType, mux_a: usize, mux_b: usize, width: usize, k: usiz
 }
 
 /// One table entry for `mode`: the estimator for the analytic modes, the
-/// word-parallel simulator for [`SaMode::Simulated`]. [`SaMode::Dynamic`]
+/// bit-sliced slab simulator for [`SaMode::Simulated`]. [`SaMode::Dynamic`]
 /// recomputes the same glitch-aware estimate as [`SaMode::Precalculated`].
 fn compute_for_mode(
     mode: SaMode,
@@ -156,9 +156,11 @@ pub enum SaMode {
     Dynamic,
     /// Zero-delay (glitch-blind) estimates — ablation of the glitch model.
     ZeroDelayAblation,
-    /// Entries *measured* by word-parallel unit-delay simulation of the
-    /// partial datapath ([`simulate_sa`]) instead of the analytic
-    /// estimator — ground-truth training made affordable by bit-slicing.
+    /// Entries *measured* by unit-delay simulation of the partial
+    /// datapath on the bit-sliced [`gatesim::SlabSim`] engine
+    /// ([`simulate_sa`], [`SIM_TRAIN_LANES`] lanes per run) instead of the
+    /// analytic estimator — ground-truth training made affordable by
+    /// bit-slicing.
     Simulated,
 }
 

@@ -10,7 +10,7 @@
 //! * **prepared** — schedule + register binding per
 //!   [`crate::fingerprint::prepared_fingerprint`];
 //! * **netlists** — elaborated + technology-mapped netlists (exact
-//!   [`netlist::textio`] codec, so a cached netlist simulates
+//!   [`netlist::binio`] codec, so a cached netlist simulates
 //!   bit-identically to the original) per
 //!   [`crate::fingerprint::netlist_fingerprint`];
 //! * **sims** — simulation summaries per
@@ -20,32 +20,21 @@
 //!   `(mode, width, k)` and **merged on absorb** (existing entries win;
 //!   conflicts are counted and surfaced, never silently dropped).
 //!
-//! # Formats
+//! # Format
 //!
-//! Every artifact kind has two interchangeable encodings, sniffed by
-//! their first bytes on load:
-//!
-//! * **binary** (`hlpbin v1`, [`netlist::binio`]) — the default write
-//!   format ([`StoreFormat::Binary`]) and the hot path: fixed-width
-//!   little-endian fields behind a checksum, decoded straight out of an
-//!   mmap'd file with no per-node text parsing, so a warm `get` is
-//!   bounded by the wire (or the page cache), not the parser;
-//! * **text** (`# hlpower ...` headers) — the debug/interchange format
-//!   ([`StoreFormat::Text`], `--store-format text`), kept bit-exact so
-//!   either encoding of an artifact serves byte-identical warm runs.
-//!
-//! `hlp store convert DIR` re-encodes a store in place; mixed-format
-//! stores are fully supported (reads sniff per file, `usage`/`gc`
-//! account both). Per-kind decode/encode nanosecond counters are kept on
-//! every handle ([`ArtifactStore::codec`]) and surfaced through
-//! [`crate::pipeline::PipelineStats`], so the text-vs-binary win is
-//! measurable in-band.
+//! Every artifact is an `hlpbin v1` container ([`netlist::binio`]):
+//! fixed-width little-endian fields behind a checksum, decoded straight
+//! out of an mmap'd file with no per-node text parsing, so a warm `get`
+//! is bounded by the wire (or the page cache), not the parser.
+//! Per-kind decode/encode nanosecond counters are kept on every handle
+//! ([`ArtifactStore::codec`]) and surfaced through
+//! [`crate::pipeline::PipelineStats`].
 //!
 //! All writes are atomic (temp file + rename into place), so concurrent
 //! shard workers and interrupted runs can never leave a torn artifact.
-//! Loads of corrupt or version-mismatched files — either format — are
-//! treated as misses. Hit/miss counters are kept per artifact kind and
-//! surfaced through [`crate::pipeline::PipelineStats`].
+//! Loads of corrupt or version-mismatched files are treated as misses.
+//! Hit/miss counters are kept per artifact kind and surfaced through
+//! [`crate::pipeline::PipelineStats`].
 //!
 //! # Backends
 //!
@@ -58,15 +47,15 @@
 //!   hot store over a unix socket or TCP without a shared filesystem.
 //!
 //! The remote wire protocol rides the same socket as job requests and is
-//! line-oriented with length-prefixed bodies (artifact bytes — binary or
-//! text — travel verbatim, with **no transcode on either end**):
+//! line-oriented with length-prefixed bodies (artifact bytes travel
+//! verbatim, with **no transcode on either end**):
 //!
 //! ```text
 //! store get KIND NAME        →  data LEN\n<LEN bytes>  |  absent
 //! store put KIND NAME LEN\n<LEN bytes>                 →  ok
 //! store stat KIND NAME       →  present  |  absent
 //! store list KIND            →  names N\n<N name lines>
-//! store put-sa LEN\n<LEN bytes of SaTable, either format>  →  ok I M C
+//! store put-sa LEN\n<LEN bytes of an hlpbin SaTable>  →  ok I M C
 //! store audit KIND NAME LEN\n<LEN bytes>  →  ok SUMMARY  |  error MSG
 //! store fsck MODE SCOPE      →  bad KIND NAME Q F PROBLEM (per defect)
 //!                               done SCANNED SKIPPED DEFECTIVE QUAR FIXED
@@ -81,8 +70,8 @@
 //! autofixes honored on the daemon host. `store audit` checks bytes
 //! without storing them. A warm run against a remote store is
 //! byte-identical to the same run against the daemon's directory
-//! mounted locally: the backend only moves bytes, every format decision
-//! stays in this module.
+//! mounted locally: the backend only moves bytes, every encoding
+//! decision stays in this module.
 //!
 //! # On-disk layout
 //!
@@ -94,8 +83,11 @@
 //!   satables/<mode>-w<W>-k<K>.bin
 //! ```
 //!
-//! (`.txt` for text-format artifacts; a name may exist in either
-//! extension, never both — writes remove the stale twin.)
+//! `.txt` slots written by older versions in a retired text encoding are
+//! not artifacts: lookups, listings and `fsck` ignore them (the store is
+//! a pure cache, so each reads as a miss and is recomputed to `.bin`),
+//! while `usage` and `gc` still count them so their disk can be
+//! reclaimed.
 //!
 //! # Examples
 //!
@@ -157,9 +149,10 @@ pub(crate) fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
 }
 
-/// Whether a directory entry is a finished artifact of either format
-/// (`usage`/`gc` accounting must be format-agnostic: a mixed-format
-/// store counts, and prunes oldest-first across, both).
+/// Whether a directory entry is a finished artifact file for
+/// `usage`/`gc` accounting: `.bin` slots, plus the `.txt` slots older
+/// versions wrote in the retired text encoding — they no longer serve
+/// lookups, but their disk must stay visible and reclaimable.
 fn is_artifact_file(name: &str) -> bool {
     name.ends_with(".txt") || name.ends_with(".bin")
 }
@@ -630,11 +623,6 @@ impl ArtifactBytes {
     pub fn owned(bytes: Vec<u8>) -> ArtifactBytes {
         ArtifactBytes(BytesRepr::Owned(bytes))
     }
-
-    /// The bytes as UTF-8 text, if they are (text-format artifacts).
-    pub fn as_text(&self) -> Option<&str> {
-        std::str::from_utf8(self).ok()
-    }
 }
 
 impl Deref for ArtifactBytes {
@@ -661,43 +649,11 @@ impl From<Vec<u8>> for ArtifactBytes {
     }
 }
 
-// ---- formats ---------------------------------------------------------------
-
-/// Which encoding the store writes artifacts in. Reads always sniff, so
-/// the format only governs new writes (and `hlp store convert`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// `hlpbin v1` containers — the default and the hot path.
-    #[default]
-    Binary,
-    /// The `# hlpower ...` text codecs — debug/interchange
-    /// (`--store-format text`).
-    Text,
-}
-
-impl StoreFormat {
-    /// Parses a `--store-format` value (`binary` or `text`).
-    pub fn parse(name: &str) -> Option<StoreFormat> {
-        match name {
-            "binary" => Some(StoreFormat::Binary),
-            "text" => Some(StoreFormat::Text),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this format.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StoreFormat::Binary => "binary",
-            StoreFormat::Text => "text",
-        }
-    }
-}
+// ---- codec accounting ------------------------------------------------------
 
 /// Per-kind decode/encode wall time, in nanoseconds — the in-band
-/// evidence of what artifact (de)serialization costs, and of the
-/// text-vs-binary difference. Counts codec work only (the time inside
-/// parse/serialize), not backend I/O.
+/// evidence of what artifact (de)serialization costs. Counts codec work
+/// only (the time inside parse/serialize), not backend I/O.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecNanos {
     /// Decoding prepared artifacts.
@@ -799,28 +755,6 @@ struct CodecCounters {
     satable_encode_ns: AtomicU64,
 }
 
-/// What [`ArtifactStore::convert`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConvertReport {
-    /// Artifacts re-encoded into the target format.
-    pub converted: usize,
-    /// Artifacts already in the target format, left untouched.
-    pub unchanged: usize,
-    /// Artifacts that would not decode (corrupt or future-format); left
-    /// in place — they already read as misses.
-    pub failed: usize,
-}
-
-impl fmt::Display for ConvertReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} converted, {} already in target format, {} unreadable (left in place)",
-            self.converted, self.unchanged, self.failed
-        )
-    }
-}
-
 // ---- backends --------------------------------------------------------------
 
 /// Where an [`ArtifactStore`]'s bytes actually live.
@@ -859,10 +793,8 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
 
     /// Merges a table into the shard for its `(mode, width, k)` —
     /// existing entries win, conflicts are counted — and reports what
-    /// the merge did. `format` is the encoding a rewritten local shard
-    /// should use; a remote backend ignores it (the daemon re-encodes
-    /// per its own format).
-    fn merge_sa(&self, table: &SaTable, format: StoreFormat) -> AbsorbStats;
+    /// the merge did.
+    fn merge_sa(&self, table: &SaTable) -> AbsorbStats;
 
     /// The store's root directory, when the bytes live on this host
     /// (local maintenance — `gc`, `usage` — needs it).
@@ -888,29 +820,12 @@ pub(crate) fn sa_shard_name(mode: SaMode, width: usize, k: usize) -> String {
     format!("{}-w{width}-k{k}", mode.name())
 }
 
-/// Parses an SA table from raw bytes, either format (sniffed).
-fn sa_from_bytes(data: &[u8]) -> Option<SaTable> {
-    if binio::is_binary(data) {
-        SaTable::from_bin(data).ok()
-    } else {
-        SaTable::from_text(std::str::from_utf8(data).ok()?).ok()
-    }
-}
-
-/// Serializes an SA table in `format`.
-fn encode_sa_table(table: &SaTable, format: StoreFormat) -> Vec<u8> {
-    match format {
-        StoreFormat::Binary => table.to_bin(),
-        StoreFormat::Text => table.to_text().into_bytes(),
-    }
-}
-
 /// Parses shard bytes and validates them against the `(mode, width, k)`
 /// they were addressed by. A shard whose header disagrees with its name
 /// (mis-copied or hand-renamed) reads as a miss, like any other corrupt
 /// artifact.
 fn shard_from_bytes(data: &[u8], mode: SaMode, width: usize, k: usize) -> Option<SaTable> {
-    let table = sa_from_bytes(data)?;
+    let table = SaTable::from_bin(data).ok()?;
     (table.mode() == mode && table.width() == width && table.k() == k).then_some(table)
 }
 
@@ -1000,10 +915,11 @@ pub fn audit_artifact_bytes(kind: &str, name: &str, data: &[u8]) -> Result<(), S
             checked_netlist(&artifact.netlist, "mapped netlist")?;
         }
         "sims" => {
-            decode_sim(data).ok_or("does not decode as a simulation summary")?;
+            SimStats::from_summary_bin(data)
+                .map_err(|_| "does not decode as a simulation summary")?;
         }
         _ => {
-            let table = sa_from_bytes(data).ok_or("does not decode as an SA table")?;
+            let table = SaTable::from_bin(data).map_err(|_| "does not decode as an SA table")?;
             let (mode, width, k) = parse_sa_shard_name(name).expect("shard name checked above");
             if table.mode() != mode || table.width() != width || table.k() != k {
                 return Err(format!(
@@ -1043,11 +959,13 @@ fn checked_netlist(nl: &Netlist, what: &str) -> Result<String, String> {
     }
 }
 
-/// Sniffs the format of a standalone file's bytes and audits them —
-/// the engine of `hlp check FILE` for anything that is not BLIF or
-/// CDFG text. Binary payloads get the deep `hlpbin` container proof
-/// and are then decoded under the codec their kind tag names; text
-/// payloads dispatch on their version header. Anything holding a
+/// Sniffs what a standalone file's bytes hold and audits them — the
+/// engine of `hlp check FILE` for anything that is not BLIF or CDFG
+/// text. Binary payloads (store artifacts and exact netlists) get the
+/// deep `hlpbin` container proof and are then decoded under the codec
+/// their kind tag names; the two text formats kept for interchange —
+/// the exact netlist text ([`netlist::textio`]) and the `--sa-table`
+/// SA-table file — dispatch on their version header. Anything holding a
 /// netlist additionally runs the full semantic checker.
 ///
 /// Unlike [`audit_artifact_bytes`] there is no store name to validate
@@ -1067,8 +985,8 @@ pub fn audit_artifact_auto(data: &[u8]) -> Result<String, String> {
                 checked_netlist(&nl, "binary netlist")
             }
             binio::KIND_MAPPED => {
-                let artifact = parse_mapped_bin_unchecked(data)
-                    .ok_or("does not decode as a mapped artifact")?;
+                let artifact =
+                    decode_mapped_unchecked(data).ok_or("does not decode as a mapped artifact")?;
                 checked_netlist(&artifact.netlist, "mapped artifact")
             }
             binio::KIND_PREPARED => {
@@ -1076,11 +994,13 @@ pub fn audit_artifact_auto(data: &[u8]) -> Result<String, String> {
                 Ok(format!("prepared artifact: {deep}"))
             }
             binio::KIND_SIM => {
-                decode_sim(data).ok_or("does not decode as a simulation summary")?;
+                SimStats::from_summary_bin(data)
+                    .map_err(|_| "does not decode as a simulation summary")?;
                 Ok(format!("simulation summary: {deep}"))
             }
             binio::KIND_SA_TABLE => {
-                let table = sa_from_bytes(data).ok_or("does not decode as an SA table")?;
+                let table =
+                    SaTable::from_bin(data).map_err(|_| "does not decode as an SA table")?;
                 Ok(format!("SA table shard ({} entries): {deep}", table.len()))
             }
             other => Err(format!(
@@ -1096,19 +1016,9 @@ pub fn audit_artifact_auto(data: &[u8]) -> Result<String, String> {
         if header == "# hlpower netlist v1" {
             let nl = parse_netlist_text(text).map_err(|e| e.to_string())?;
             checked_netlist(&nl, "netlist")
-        } else if header == MAPPED_HEADER {
-            let artifact =
-                parse_mapped_unchecked(text).ok_or("does not decode as a mapped artifact")?;
-            checked_netlist(&artifact.netlist, "mapped artifact")
-        } else if header == PREPARED_HEADER {
-            decode_prepared(data).ok_or("does not decode as a prepared artifact")?;
-            Ok("prepared artifact (text)".to_string())
-        } else if header.starts_with("# hlpower sim ") {
-            decode_sim(data).ok_or("does not decode as a simulation summary")?;
-            Ok("simulation summary (text)".to_string())
         } else if header.starts_with("# hlpower SA table") {
-            let table = sa_from_bytes(data).ok_or("does not decode as an SA table")?;
-            Ok(format!("SA table shard ({} entries, text)", table.len()))
+            let table = SaTable::from_text(text).map_err(|e| format!("SA table: {e}"))?;
+            Ok(format!("SA table ({} entries, text)", table.len()))
         } else {
             Err(format!("unrecognized header `{header}`"))
         }
@@ -1142,7 +1052,7 @@ pub enum FixVerdict {
 /// Attempts a mechanical repair of standalone artifact bytes
 /// ([`netlist::fix_netlist`]: drop orphans, rewire singleton muxes,
 /// dedupe identical multiply-drivers). Only netlist-carrying files —
-/// bare netlists and mapped artifacts, either encoding — are fixable;
+/// bare netlists (binary or text) and mapped artifacts — are fixable;
 /// the result is accepted only when the fix loop converges to zero
 /// violations, actually changed something, and the re-encoded bytes
 /// pass [`audit_artifact_auto`].
@@ -1157,31 +1067,18 @@ pub fn fix_artifact_auto(data: &[u8]) -> FixVerdict {
         Bare(netlist::Netlist),
         Mapped(MappedArtifact),
     }
-    let format = if binio::is_binary(data) {
-        StoreFormat::Binary
-    } else {
-        StoreFormat::Text
-    };
-    let carrier = if binio::is_binary(data) {
+    let binary = binio::is_binary(data);
+    let carrier = if binary {
         match netlist::validate_deep(data).map(|deep| deep.kind) {
             Ok(binio::KIND_NETLIST) => netlist::parse_netlist_bin(data).ok().map(Carrier::Bare),
-            Ok(binio::KIND_MAPPED) => parse_mapped_bin_unchecked(data).map(Carrier::Mapped),
+            Ok(binio::KIND_MAPPED) => decode_mapped_unchecked(data).map(Carrier::Mapped),
             _ => None,
         }
     } else {
-        match std::str::from_utf8(data) {
-            Ok(text) => {
-                let header = text.lines().next().unwrap_or("");
-                if header == "# hlpower netlist v1" {
-                    parse_netlist_text(text).ok().map(Carrier::Bare)
-                } else if header == MAPPED_HEADER {
-                    parse_mapped_unchecked(text).map(Carrier::Mapped)
-                } else {
-                    None
-                }
-            }
-            Err(_) => None,
-        }
+        std::str::from_utf8(data)
+            .ok()
+            .and_then(|text| parse_netlist_text(text).ok())
+            .map(Carrier::Bare)
     };
     let Some(carrier) = carrier else {
         return FixVerdict::Unfixable(format!("{problem}; no decodable netlist to fix"));
@@ -1195,10 +1092,8 @@ pub fn fix_artifact_auto(data: &[u8]) -> FixVerdict {
         return FixVerdict::Unfixable(format!("{problem}; no sound mechanical fix"));
     }
     let bytes = match carrier {
-        Carrier::Bare(_) => match format {
-            StoreFormat::Binary => netlist::write_netlist_bin(&out.netlist),
-            StoreFormat::Text => netlist::write_netlist_text(&out.netlist).into_bytes(),
-        },
+        Carrier::Bare(_) if binary => netlist::write_netlist_bin(&out.netlist),
+        Carrier::Bare(_) => write_netlist_text(&out.netlist).into_bytes(),
         Carrier::Mapped(artifact) => {
             // Derived metrics must describe the repaired graph; depth()
             // is safe on a violation-free (proved acyclic) netlist.
@@ -1209,7 +1104,7 @@ pub fn fix_artifact_auto(data: &[u8]) -> FixVerdict {
                 registers: artifact.registers,
                 netlist: out.netlist,
             };
-            encode_mapped(&repaired, format)
+            encode_mapped(&repaired)
         }
     };
     match audit_artifact_auto(&bytes) {
@@ -1270,8 +1165,8 @@ impl LocalStore {
         Ok(LocalStore { root })
     }
 
-    fn path_ext(&self, kind: &str, name: &str, ext: &str) -> PathBuf {
-        self.root.join(kind).join(format!("{name}.{ext}"))
+    fn path(&self, kind: &str, name: &str) -> PathBuf {
+        self.root.join(kind).join(format!("{name}.bin"))
     }
 
     /// Below this size a buffered read beats the mmap/munmap round trip
@@ -1320,55 +1215,39 @@ impl LocalStore {
 
 impl StoreBackend for LocalStore {
     fn get(&self, kind: &str, name: &str) -> Option<ArtifactBytes> {
-        Self::read_file(&self.path_ext(kind, name, "bin"))
-            .or_else(|| Self::read_file(&self.path_ext(kind, name, "txt")))
+        Self::read_file(&self.path(kind, name))
     }
 
     fn put(&self, kind: &str, name: &str, content: &[u8]) {
-        // The extension records the content's own format (sniffed, not
-        // trusted from any caller flag), so a directory listing tells
-        // the truth and `list` never double-counts a name.
-        let (ext, stale) = if binio::is_binary(content) {
-            ("bin", "txt")
-        } else {
-            ("txt", "bin")
-        };
-        if self.write_atomic(&self.path_ext(kind, name, ext), content) {
-            // A name exists in one extension, never both: drop the
-            // other-format twin a convert (or format switch) replaced.
-            let _ = fs::remove_file(self.path_ext(kind, name, stale));
+        if self.write_atomic(&self.path(kind, name), content) {
             // The slot's bytes changed, so any persisted audit verdict
-            // no longer vouches for them — a rewrite (convert, format
-            // switch, recompute) must re-audit on the next fsck pass.
+            // no longer vouches for them — a rewrite (recompute, fsck
+            // fix) must re-audit on the next fsck pass.
             audit::invalidate_watermark(&self.root, kind, name);
         }
     }
 
     fn stat(&self, kind: &str, name: &str) -> bool {
-        self.path_ext(kind, name, "bin").is_file() || self.path_ext(kind, name, "txt").is_file()
+        self.path(kind, name).is_file()
     }
 
     fn list(&self, kind: &str) -> io::Result<Vec<String>> {
-        // Only finished artifacts carry the `.bin`/`.txt` suffix;
-        // leftover `*.tmp.*` files from interrupted writes are not
-        // artifacts and must not be listed (or later copied and parsed
-        // by a merge).
+        // Only finished artifacts carry the `.bin` suffix; leftover
+        // `*.tmp.*` files from interrupted writes (and legacy `.txt`
+        // slots) are not artifacts and must not be listed (or later
+        // copied and parsed by a merge).
         let mut names = Vec::new();
         for entry in fs::read_dir(self.root.join(kind))? {
             let name = entry?.file_name().to_string_lossy().into_owned();
-            if let Some(stem) = name
-                .strip_suffix(".txt")
-                .or_else(|| name.strip_suffix(".bin"))
-            {
+            if let Some(stem) = name.strip_suffix(".bin") {
                 names.push(stem.to_string());
             }
         }
         names.sort();
-        names.dedup();
         Ok(names)
     }
 
-    fn merge_sa(&self, table: &SaTable, format: StoreFormat) -> AbsorbStats {
+    fn merge_sa(&self, table: &SaTable) -> AbsorbStats {
         let mode = table.mode();
         let width = table.width();
         let k = table.k();
@@ -1394,11 +1273,7 @@ impl StoreBackend for LocalStore {
         let stats = merged
             .absorb(table)
             .expect("shard compatible by construction");
-        self.put(
-            "satables",
-            &name,
-            &encode_sa_table(&merged.snapshot(), format),
-        );
+        self.put("satables", &name, &merged.snapshot().to_bin());
         drop(lock);
         stats
     }
@@ -1615,10 +1490,8 @@ impl RemoteStore {
     }
 
     fn try_merge_sa(&self, table: &SaTable) -> io::Result<AbsorbStats> {
-        // The wire body is a transport encoding only — the daemon
-        // decodes it (sniffing the format), merges in memory, and writes
-        // its own store's format. Binary is smaller and cheaper to parse
-        // on the daemon side.
+        // The daemon decodes the body, audits it, and merges it into its
+        // own shard under its shard lock.
         let body = table.to_bin();
         self.op(&mut |conn| {
             let w = conn.get_mut();
@@ -1745,7 +1618,7 @@ impl StoreBackend for RemoteStore {
         self.try_list(kind)
     }
 
-    fn merge_sa(&self, table: &SaTable, _format: StoreFormat) -> AbsorbStats {
+    fn merge_sa(&self, table: &SaTable) -> AbsorbStats {
         match self.try_merge_sa(table) {
             Ok(stats) => stats,
             Err(e) => {
@@ -1767,12 +1640,11 @@ impl StoreBackend for RemoteStore {
 // ---- ArtifactStore ---------------------------------------------------------
 
 /// The content-addressed artifact store. See the [module docs](self)
-/// for the formats and guarantees; see [`StoreBackend`] for where the
+/// for the format and guarantees; see [`StoreBackend`] for where the
 /// bytes live.
 #[derive(Debug)]
 pub struct ArtifactStore {
     backend: Box<dyn StoreBackend>,
-    format: StoreFormat,
     counters: StoreCounters,
     codec: CodecCounters,
 }
@@ -1814,37 +1686,20 @@ impl ArtifactStore {
 
     /// Opens the store a CLI `--store` spec names: `remote:ADDR` connects
     /// to a daemon (ADDR = socket path or `host:port`), anything else is
-    /// a local directory. Writes use the default [`StoreFormat`]; see
-    /// [`ArtifactStore::open_spec_with`].
+    /// a local directory.
     ///
     /// # Errors
     ///
     /// Local open or remote connect failures; `remote:` with no address.
     pub fn open_spec(spec: &str) -> io::Result<ArtifactStore> {
-        Self::open_spec_with(spec, StoreFormat::default())
-    }
-
-    /// [`ArtifactStore::open_spec`] with an explicit write format
-    /// (`--store-format`). For a remote spec the format still applies:
-    /// artifacts are encoded client-side and the daemon stores the bytes
-    /// verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Local open or remote connect failures; `remote:` with no address.
-    pub fn open_spec_with(spec: &str, format: StoreFormat) -> io::Result<ArtifactStore> {
-        let mut store = match spec.strip_prefix("remote:") {
-            Some("") => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "`remote:` needs an address (socket path or host:port)",
-                ))
-            }
-            Some(addr) => Self::connect(&Endpoint::parse(addr))?,
-            None => Self::with_backend(Box::new(LocalStore::open(spec)?)),
-        };
-        store.format = format;
-        Ok(store)
+        match spec.strip_prefix("remote:") {
+            Some("") => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "`remote:` needs an address (socket path or host:port)",
+            )),
+            Some(addr) => Self::connect(&Endpoint::parse(addr)),
+            None => Self::open(spec),
+        }
     }
 
     /// Wraps an explicit backend (how custom backends plug in; the
@@ -1852,22 +1707,9 @@ impl ArtifactStore {
     pub fn with_backend(backend: Box<dyn StoreBackend>) -> ArtifactStore {
         ArtifactStore {
             backend,
-            format: StoreFormat::default(),
             counters: StoreCounters::default(),
             codec: CodecCounters::default(),
         }
-    }
-
-    /// Sets the format typed saves encode artifacts in. Reads always
-    /// sniff; this only governs new writes.
-    pub fn with_format(mut self, format: StoreFormat) -> ArtifactStore {
-        self.format = format;
-        self
-    }
-
-    /// The format typed saves encode artifacts in.
-    pub fn format(&self) -> StoreFormat {
-        self.format
     }
 
     /// The backend holding this store's bytes.
@@ -2009,7 +1851,7 @@ impl ArtifactStore {
     /// Persists a schedule + register binding under its fingerprint.
     pub fn save_prepared(&self, fp: Fingerprint, sched: &Schedule, rb: &RegisterBinding) {
         let bytes = Self::timed(&self.codec.prepared_encode_ns, || {
-            encode_prepared(sched, rb, self.format)
+            encode_prepared(sched, rb)
         });
         self.backend.put("prepared", &fp.to_string(), &bytes);
     }
@@ -2032,9 +1874,7 @@ impl ArtifactStore {
 
     /// Persists a mapped netlist and its backend metrics.
     pub fn save_mapped(&self, fp: Fingerprint, artifact: &MappedArtifact) {
-        let bytes = Self::timed(&self.codec.netlist_encode_ns, || {
-            encode_mapped(artifact, self.format)
-        });
+        let bytes = Self::timed(&self.codec.netlist_encode_ns, || encode_mapped(artifact));
         self.backend.put("netlists", &fp.to_string(), &bytes);
     }
 
@@ -2042,10 +1882,11 @@ impl ArtifactStore {
 
     /// Loads a cached simulation summary, or `None` on miss.
     pub fn load_sim(&self, fp: Fingerprint) -> Option<SimStats> {
-        let loaded = self
-            .backend
-            .get("sims", &fp.to_string())
-            .and_then(|data| Self::timed(&self.codec.sim_decode_ns, || decode_sim(&data)));
+        let loaded = self.backend.get("sims", &fp.to_string()).and_then(|data| {
+            Self::timed(&self.codec.sim_decode_ns, || {
+                SimStats::from_summary_bin(&data).ok()
+            })
+        });
         Self::tally(
             loaded.is_some(),
             &self.counters.sim_hits,
@@ -2056,7 +1897,7 @@ impl ArtifactStore {
 
     /// Persists a simulation summary.
     pub fn save_sim(&self, fp: Fingerprint, stats: &SimStats) {
-        let bytes = Self::timed(&self.codec.sim_encode_ns, || encode_sim(stats, self.format));
+        let bytes = Self::timed(&self.codec.sim_encode_ns, || stats.to_summary_bin());
         self.backend.put("sims", &fp.to_string(), &bytes);
     }
 
@@ -2082,7 +1923,7 @@ impl ArtifactStore {
     /// Returns what the merge did, including the conflict count the
     /// caller should warn about.
     pub fn merge_sa_table(&self, table: &SaTable) -> AbsorbStats {
-        self.backend.merge_sa(table, self.format)
+        self.backend.merge_sa(table)
     }
 
     // ---- store-level operations --------------------------------------------
@@ -2132,7 +1973,7 @@ impl ArtifactStore {
             let Some(data) = other.raw_get("satables", &name) else {
                 continue;
             };
-            if let Some(table) = sa_from_bytes(&data) {
+            if let Ok(table) = SaTable::from_bin(&data) {
                 let s = self.merge_sa_table(&table);
                 report.sa.inserted += s.inserted;
                 report.sa.matched += s.matched;
@@ -2142,55 +1983,8 @@ impl ArtifactStore {
         Ok(report)
     }
 
-    /// Re-encodes every artifact of this store into `format`, in place
-    /// (`hlp store convert`). Artifacts already in the target format are
-    /// left untouched; unreadable ones are counted and left in place
-    /// (they already read as misses). Works through the raw verbs, so a
-    /// `remote:` store converts over the wire too.
-    ///
-    /// Conversion changes an artifact's bytes but not its content: a
-    /// warm run from a converted store is byte-identical on stdout to
-    /// one from the original (the codecs are exact, and SA values are
-    /// carried bit-for-bit in both directions — the text format prints
-    /// `f64` bits, the binary format stores them raw).
-    ///
-    /// # Errors
-    ///
-    /// Propagates enumeration failures.
-    pub fn convert(&self, format: StoreFormat) -> io::Result<ConvertReport> {
-        let mut report = ConvertReport::default();
-        for kind in KINDS {
-            for name in self.raw_list(kind)? {
-                let Some(data) = self.raw_get(kind, &name) else {
-                    report.failed += 1;
-                    continue;
-                };
-                if binio::is_binary(&data) == (format == StoreFormat::Binary) {
-                    report.unchanged += 1;
-                    continue;
-                }
-                let encoded = match kind {
-                    "prepared" => {
-                        decode_prepared(&data).map(|(s, rb)| encode_prepared(&s, &rb, format))
-                    }
-                    "netlists" => decode_mapped(&data).map(|a| encode_mapped(&a, format)),
-                    "sims" => decode_sim(&data).map(|s| encode_sim(&s, format)),
-                    _ => sa_from_bytes(&data).map(|t| encode_sa_table(&t, format)),
-                };
-                match encoded {
-                    Some(bytes) => {
-                        self.raw_put(kind, &name, &bytes);
-                        report.converted += 1;
-                    }
-                    None => report.failed += 1,
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// Per-kind size accounting (finished artifacts of **both** formats
-    /// — `.bin` and `.txt`; temp leftovers are not artifacts and are not
+    /// Per-kind size accounting (finished artifact files, legacy `.txt`
+    /// slots included; temp leftovers are not artifacts and are not
     /// counted). Local stores only.
     ///
     /// # Errors
@@ -2484,8 +2278,8 @@ impl ArtifactStore {
     /// plans operate on graphs); the result is accepted only when the
     /// fix loop converges to zero violations, the fix actually changed
     /// something, and the re-encoded bytes pass the **full** audit
-    /// stack. Returns the replacement bytes, in the slot's original
-    /// format, or `None` when no sound fix exists.
+    /// stack. Returns the replacement bytes, or `None` when no sound fix
+    /// exists.
     fn try_fix_artifact(&self, kind: &str, name: &str, data: &[u8]) -> Option<Vec<u8>> {
         if kind != "netlists" {
             return None;
@@ -2504,32 +2298,21 @@ impl ArtifactStore {
             registers: artifact.registers,
             netlist: out.netlist,
         };
-        let format = if binio::is_binary(data) {
-            StoreFormat::Binary
-        } else {
-            StoreFormat::Text
-        };
-        let bytes = encode_mapped(&repaired, format);
+        let bytes = encode_mapped(&repaired);
         audit_artifact_bytes(kind, name, &bytes).ok()?;
         Some(bytes)
     }
 
-    /// Renames a defective artifact's file(s) aside to `*.bad` so they
-    /// stop serving lookups, and drops the slot's audit watermark (the
+    /// Renames a defective artifact's file aside to `*.bin.bad` so it
+    /// stops serving lookups, and drops the slot's audit watermark (the
     /// clean verdict died with the bytes). Local stores only; returns
-    /// whether any file was actually moved.
+    /// whether the file was actually moved.
     fn quarantine(&self, kind: &str, name: &str) -> bool {
         let Ok(root) = self.local_root() else {
             return false;
         };
-        let dir = root.join(kind);
-        let mut moved = false;
-        for ext in ["bin", "txt"] {
-            let path = dir.join(format!("{name}.{ext}"));
-            if path.is_file() && fs::rename(&path, dir.join(format!("{name}.{ext}.bad"))).is_ok() {
-                moved = true;
-            }
-        }
+        let path = root.join(kind).join(format!("{name}.bin"));
+        let moved = fs::rename(&path, path.with_extension("bin.bad")).is_ok();
         if moved {
             audit::invalidate_watermark(root, kind, name);
         }
@@ -2543,71 +2326,6 @@ impl ArtifactStore {
 const PREPARED_BIN_VERSION: u32 = 1;
 /// Version of the binary mapped-artifact encoding (`"mapd"` payload).
 const MAPPED_BIN_VERSION: u32 = 1;
-
-/// Decodes a prepared artifact from raw bytes, either format (sniffed).
-fn decode_prepared(data: &[u8]) -> Option<(Schedule, RegisterBinding)> {
-    if binio::is_binary(data) {
-        parse_prepared_bin(data)
-    } else {
-        parse_prepared(std::str::from_utf8(data).ok()?)
-    }
-}
-
-/// Serializes a prepared artifact in `format`.
-fn encode_prepared(sched: &Schedule, rb: &RegisterBinding, format: StoreFormat) -> Vec<u8> {
-    match format {
-        StoreFormat::Binary => prepared_bin(sched, rb),
-        StoreFormat::Text => prepared_text(sched, rb).into_bytes(),
-    }
-}
-
-/// Decodes a mapped artifact from raw bytes, either format (sniffed).
-fn decode_mapped(data: &[u8]) -> Option<MappedArtifact> {
-    if binio::is_binary(data) {
-        parse_mapped_bin(data)
-    } else {
-        parse_mapped(std::str::from_utf8(data).ok()?)
-    }
-}
-
-/// [`decode_mapped`] without the all-or-nothing structural gate: the
-/// auditor wants the decoded netlist even when it is semantically
-/// broken, so it can report *which* violations it carries instead of a
-/// bare "does not decode".
-fn decode_mapped_unchecked(data: &[u8]) -> Option<MappedArtifact> {
-    if binio::is_binary(data) {
-        parse_mapped_bin_unchecked(data)
-    } else {
-        parse_mapped_unchecked(std::str::from_utf8(data).ok()?)
-    }
-}
-
-/// Serializes a mapped artifact in `format`.
-fn encode_mapped(artifact: &MappedArtifact, format: StoreFormat) -> Vec<u8> {
-    match format {
-        StoreFormat::Binary => mapped_bin(artifact),
-        StoreFormat::Text => mapped_text(artifact).into_bytes(),
-    }
-}
-
-/// Decodes a simulation summary from raw bytes, either format (sniffed).
-fn decode_sim(data: &[u8]) -> Option<SimStats> {
-    if binio::is_binary(data) {
-        SimStats::from_summary_bin(data).ok()
-    } else {
-        SimStats::from_summary_text(std::str::from_utf8(data).ok()?).ok()
-    }
-}
-
-/// Serializes a simulation summary in `format`.
-fn encode_sim(stats: &SimStats, format: StoreFormat) -> Vec<u8> {
-    match format {
-        StoreFormat::Binary => stats.to_summary_bin(),
-        StoreFormat::Text => stats.to_summary_text().into_bytes(),
-    }
-}
-
-// ---- binary formats --------------------------------------------------------
 
 /// Appends `vals` as little-endian `u32`s.
 fn u32s_bytes(vals: impl Iterator<Item = u32>) -> Vec<u8> {
@@ -2634,7 +2352,7 @@ fn u32s_from(data: &[u8]) -> Option<Vec<u32>> {
 /// the two library latencies, `num_regs`, as `u64`s), then one section
 /// per array — `cstep`, `reg_of`, `swap` (one byte per bool), `birth`,
 /// `death`.
-fn prepared_bin(sched: &Schedule, rb: &RegisterBinding) -> Vec<u8> {
+fn encode_prepared(sched: &Schedule, rb: &RegisterBinding) -> Vec<u8> {
     let mut w = binio::BinWriter::new(binio::KIND_PREPARED, PREPARED_BIN_VERSION);
     let mut scalars = Vec::with_capacity(32);
     scalars.extend_from_slice(&u64::from(sched.num_steps).to_le_bytes());
@@ -2651,7 +2369,7 @@ fn prepared_bin(sched: &Schedule, rb: &RegisterBinding) -> Vec<u8> {
     w.finish()
 }
 
-fn parse_prepared_bin(data: &[u8]) -> Option<(Schedule, RegisterBinding)> {
+fn decode_prepared(data: &[u8]) -> Option<(Schedule, RegisterBinding)> {
     let r = binio::BinReader::open(data, binio::KIND_PREPARED, PREPARED_BIN_VERSION).ok()?;
     let mut scalars = binio::Cursor::new(r.section(0).ok()?);
     let num_steps = u32::try_from(scalars.u64().ok()?).ok()?;
@@ -2689,7 +2407,7 @@ fn parse_prepared_bin(data: &[u8]) -> Option<(Schedule, RegisterBinding)> {
 /// `registers` as `u64`s, `depth` as `u32` + padding, the `f64` bits of
 /// `estimated_sa`), then the nested exact binary netlist
 /// ([`netlist::write_netlist_bin`]) as its own section.
-fn mapped_bin(artifact: &MappedArtifact) -> Vec<u8> {
+fn encode_mapped(artifact: &MappedArtifact) -> Vec<u8> {
     let mut w = binio::BinWriter::new(binio::KIND_MAPPED, MAPPED_BIN_VERSION);
     let mut meta = Vec::with_capacity(32);
     meta.extend_from_slice(&(artifact.luts as u64).to_le_bytes());
@@ -2702,13 +2420,13 @@ fn mapped_bin(artifact: &MappedArtifact) -> Vec<u8> {
     w.finish()
 }
 
-fn parse_mapped_bin(data: &[u8]) -> Option<MappedArtifact> {
-    let artifact = parse_mapped_bin_unchecked(data)?;
+fn decode_mapped(data: &[u8]) -> Option<MappedArtifact> {
+    let artifact = decode_mapped_unchecked(data)?;
     // The binary codec enforces the structural invariants during the
     // parse itself (id-ordered fanins — hence acyclic — matching
-    // arities, in-range ids), so unlike the text path no full
-    // `Netlist::check` walk is needed on every warm open. The one
-    // defect it admits is an unconnected latch; scan for that directly.
+    // arities, in-range ids), so no full `Netlist::check` walk is needed
+    // on every warm open. The one defect it admits is an unconnected
+    // latch; scan for that directly.
     if artifact
         .netlist
         .latches()
@@ -2720,7 +2438,11 @@ fn parse_mapped_bin(data: &[u8]) -> Option<MappedArtifact> {
     Some(artifact)
 }
 
-fn parse_mapped_bin_unchecked(data: &[u8]) -> Option<MappedArtifact> {
+/// [`decode_mapped`] without the unconnected-latch gate: the auditor
+/// wants the decoded netlist even when it is semantically broken, so it
+/// can report *which* violations it carries instead of a bare "does not
+/// decode".
+fn decode_mapped_unchecked(data: &[u8]) -> Option<MappedArtifact> {
     let r = binio::BinReader::open(data, binio::KIND_MAPPED, MAPPED_BIN_VERSION).ok()?;
     let mut meta = binio::Cursor::new(r.section(0).ok()?);
     let luts = meta.read_len().ok()?;
@@ -2739,169 +2461,6 @@ fn parse_mapped_bin_unchecked(data: &[u8]) -> Option<MappedArtifact> {
         estimated_sa,
         registers,
     })
-}
-
-// ---- text formats ----------------------------------------------------------
-
-const PREPARED_HEADER: &str = "# hlpower prepared v1";
-const MAPPED_HEADER: &str = "# hlpower mapped v1";
-
-fn write_u32s(out: &mut String, key: &str, vals: impl Iterator<Item = u32>) {
-    out.push_str(key);
-    for v in vals {
-        out.push(' ');
-        out.push_str(&v.to_string());
-    }
-    out.push('\n');
-}
-
-fn prepared_text(sched: &Schedule, rb: &RegisterBinding) -> String {
-    let mut out = String::new();
-    out.push_str(PREPARED_HEADER);
-    out.push('\n');
-    out.push_str(&format!(
-        "num_steps {}\nlibrary {} {}\n",
-        sched.num_steps, sched.library.addsub_latency, sched.library.mul_latency
-    ));
-    write_u32s(&mut out, "cstep", sched.cstep.iter().copied());
-    out.push_str(&format!("num_regs {}\n", rb.num_regs));
-    write_u32s(&mut out, "reg_of", rb.reg_of.iter().map(|&r| r as u32));
-    out.push_str("swap ");
-    out.extend(rb.swap.iter().map(|&s| if s { '1' } else { '0' }));
-    out.push('\n');
-    write_u32s(&mut out, "birth", rb.lifetimes.birth.iter().copied());
-    write_u32s(&mut out, "death", rb.lifetimes.death.iter().copied());
-    out.push_str("end\n");
-    out
-}
-
-fn parse_prepared(text: &str) -> Option<(Schedule, RegisterBinding)> {
-    let mut lines = text.lines();
-    if lines.next()? != PREPARED_HEADER {
-        return None;
-    }
-    let mut num_steps = None;
-    let mut library = None;
-    let mut cstep = None;
-    let mut num_regs = None;
-    let mut reg_of: Option<Vec<usize>> = None;
-    let mut swap = None;
-    let mut birth = None;
-    let mut death = None;
-    let mut seen_end = false;
-    for line in lines {
-        let mut toks = line.split_whitespace();
-        let key = toks.next()?;
-        let rest: Vec<&str> = toks.collect();
-        let u32s =
-            |rest: &[&str]| -> Option<Vec<u32>> { rest.iter().map(|t| t.parse().ok()).collect() };
-        match key {
-            "num_steps" => num_steps = Some(rest.first()?.parse().ok()?),
-            "library" => {
-                library = Some(ResourceLibrary {
-                    addsub_latency: rest.first()?.parse().ok()?,
-                    mul_latency: rest.get(1)?.parse().ok()?,
-                })
-            }
-            "cstep" => cstep = Some(u32s(&rest)?),
-            "num_regs" => num_regs = Some(rest.first()?.parse().ok()?),
-            // lint:allow(trunc-cast): u32 register index widens losslessly to usize
-            "reg_of" => reg_of = Some(u32s(&rest)?.into_iter().map(|v| v as usize).collect()),
-            "swap" => {
-                swap = Some(
-                    rest.first()
-                        .copied()
-                        .unwrap_or("")
-                        .chars()
-                        .map(|c| c == '1')
-                        .collect::<Vec<bool>>(),
-                )
-            }
-            "birth" => birth = Some(u32s(&rest)?),
-            "death" => death = Some(u32s(&rest)?),
-            "end" => {
-                seen_end = true;
-                break;
-            }
-            _ => return None,
-        }
-    }
-    if !seen_end {
-        return None;
-    }
-    let sched = Schedule {
-        cstep: cstep?,
-        library: library?,
-        num_steps: num_steps?,
-    };
-    let rb = RegisterBinding {
-        num_regs: num_regs?,
-        reg_of: reg_of?,
-        swap: swap?,
-        lifetimes: Lifetimes {
-            birth: birth?,
-            death: death?,
-        },
-    };
-    Some((sched, rb))
-}
-
-fn mapped_text(artifact: &MappedArtifact) -> String {
-    format!(
-        "{MAPPED_HEADER}\nluts {}\ndepth {}\nestimated_sa {:016x} {:.3}\nregisters {}\nnetlist\n{}",
-        artifact.luts,
-        artifact.depth,
-        // Bit-exact f64 first (the value warm runs reload), then a
-        // human-readable approximation for anyone reading the file.
-        artifact.estimated_sa.to_bits(),
-        artifact.estimated_sa,
-        artifact.registers,
-        write_netlist_text(&artifact.netlist),
-    )
-}
-
-fn parse_mapped(text: &str) -> Option<MappedArtifact> {
-    let artifact = parse_mapped_unchecked(text)?;
-    // A parseable but structurally broken netlist (dangling fanin,
-    // unconnected latch) reads as a miss rather than panicking the
-    // simulator downstream.
-    artifact.netlist.check().ok()?;
-    Some(artifact)
-}
-
-fn parse_mapped_unchecked(text: &str) -> Option<MappedArtifact> {
-    let mut lines = text.lines();
-    if lines.next()? != MAPPED_HEADER {
-        return None;
-    }
-    let mut luts = None;
-    let mut depth = None;
-    let mut estimated_sa = None;
-    let mut registers = None;
-    let mut consumed = text.lines().next()?.len() + 1;
-    for line in lines {
-        consumed += line.len() + 1;
-        let mut toks = line.split_whitespace();
-        match toks.next()? {
-            "luts" => luts = Some(toks.next()?.parse().ok()?),
-            "depth" => depth = Some(toks.next()?.parse().ok()?),
-            "estimated_sa" => {
-                estimated_sa = Some(f64::from_bits(u64::from_str_radix(toks.next()?, 16).ok()?))
-            }
-            "registers" => registers = Some(toks.next()?.parse().ok()?),
-            "netlist" => {
-                return Some(MappedArtifact {
-                    netlist: parse_netlist_text(text.get(consumed..)?).ok()?,
-                    luts: luts?,
-                    depth: depth?,
-                    estimated_sa: estimated_sa?,
-                    registers: registers?,
-                });
-            }
-            _ => return None,
-        }
-    }
-    None
 }
 
 /// Test-only helper shared by this crate's store-backed test modules:
@@ -3106,7 +2665,7 @@ mod tests {
             src.root()
                 .join("satables")
                 .join("precalculated-w6-k6.tmp.99.0"),
-            t.to_text(),
+            t.to_bin(),
         )
         .unwrap();
         fs::write(src.root().join("sims").join("deadbeef.tmp.99.1"), "junk").unwrap();
@@ -3128,8 +2687,8 @@ mod tests {
             store
                 .root()
                 .join("satables")
-                .join("precalculated-w4-k4.txt"),
-            t.to_text(),
+                .join("precalculated-w4-k4.bin"),
+            t.to_bin(),
         )
         .unwrap();
         assert!(store.load_sa_table(SaMode::Precalculated, 4, 4).is_none());
@@ -3254,16 +2813,16 @@ mod tests {
     fn corrupt_files_count_as_misses() {
         let store = temp_store("corrupt");
         let fp = Fingerprint(3);
-        fs::write(store.root().join("sims").join(format!("{fp}.txt")), "junk").unwrap();
+        fs::write(store.root().join("sims").join(format!("{fp}.bin")), "junk").unwrap();
         assert!(store.load_sim(fp).is_none());
         fs::write(
-            store.root().join("prepared").join(format!("{fp}.txt")),
+            store.root().join("prepared").join(format!("{fp}.bin")),
             "# hlpower prepared v0\nend\n",
         )
         .unwrap();
         assert!(store.load_prepared(fp, |_, _| true).is_none());
         fs::write(
-            store.root().join("netlists").join(format!("{fp}.txt")),
+            store.root().join("netlists").join(format!("{fp}.bin")),
             "# hlpower mapped v1\nluts x\n",
         )
         .unwrap();
@@ -3287,7 +2846,7 @@ mod tests {
         store.save_sim(fp, &stats);
         let path = store.root().join("sims").join(format!("{fp}.bin"));
         let good = fs::read(&path).unwrap();
-        assert!(binio::is_binary(&good), "default format is binary");
+        assert!(binio::is_binary(&good), "stores write hlpbin containers");
 
         fs::write(&path, &good[..good.len() / 2]).unwrap();
         assert!(store.load_sim(fp).is_none(), "truncation is a miss");
@@ -3324,8 +2883,23 @@ mod tests {
     }
 
     #[test]
-    fn mixed_format_store_usage_and_gc_cover_both_extensions() {
-        let store = temp_store("mixed");
+    fn legacy_text_slots_read_as_misses_and_gc_reclaims_them() {
+        // A `.txt` slot in the retired text encoding, as older versions
+        // wrote it: not an artifact any more, so a lookup misses, the
+        // recompute lands in `.bin`, listings and fsck never see the
+        // text file, and usage/gc still count and reclaim it.
+        let store = temp_store("legacy");
+        let fp = Fingerprint(2);
+        let sims = store.root().join("sims");
+        let legacy = sims.join(format!("{fp}.txt"));
+        fs::write(
+            &legacy,
+            "# hlpower sim v1\ncycles 1 total 10 functional 10 glitch 0 nodes 0\n",
+        )
+        .unwrap();
+        assert!(store.load_sim(fp).is_none(), "a legacy slot is a miss");
+        assert!(!store.raw_stat("sims", &fp.to_string()));
+        assert!(store.raw_list("sims").unwrap().is_empty());
         let stats = SimStats {
             cycles: 1,
             total_transitions: 10,
@@ -3333,22 +2907,14 @@ mod tests {
             glitch_transitions: 0,
             per_node: vec![],
         };
-        store.save_sim(Fingerprint(1), &stats); // .bin (the default)
-        let text = ArtifactStore::open(store.root())
-            .unwrap()
-            .with_format(StoreFormat::Text);
-        text.save_sim(Fingerprint(2), &stats); // .txt
-        let sims = store.root().join("sims");
-        assert!(sims.join(format!("{}.bin", Fingerprint(1))).exists());
-        assert!(sims.join(format!("{}.txt", Fingerprint(2))).exists());
-        // One handle reads both encodings (sniffed per file, never
-        // negotiated), and accounting sees both.
-        assert!(store.load_sim(Fingerprint(1)).is_some());
-        assert!(store.load_sim(Fingerprint(2)).is_some());
-        assert_eq!(store.usage().unwrap().sims.files, 2);
-        // Listing dedups the stems regardless of extension.
-        assert_eq!(store.raw_list("sims").unwrap().len(), 2);
-        // gc prunes across encodings.
+        store.save_sim(fp, &stats);
+        assert!(sims.join(format!("{fp}.bin")).exists());
+        assert_eq!(store.load_sim(fp).unwrap().total_transitions, 10);
+        assert_eq!(store.raw_list("sims").unwrap(), vec![fp.to_string()]);
+        let report = store.fsck(false).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.scanned, 1, "fsck walks the .bin slot only");
+        assert_eq!(store.usage().unwrap().sims.files, 2, "usage counts both");
         let wipe = store
             .gc(&GcPolicy {
                 max_age: None,
@@ -3357,133 +2923,8 @@ mod tests {
             })
             .unwrap();
         assert_eq!(wipe.removed, 2);
+        assert!(!legacy.exists(), "gc reclaims the legacy slot");
         assert_eq!(store.usage().unwrap().total().files, 0);
-    }
-
-    #[test]
-    fn rewriting_a_slot_in_the_other_format_removes_the_stale_twin() {
-        let store = temp_store("twin");
-        let stats = SimStats {
-            cycles: 2,
-            total_transitions: 8,
-            functional_transitions: 8,
-            glitch_transitions: 0,
-            per_node: vec![],
-        };
-        let fp = Fingerprint(4);
-        store.save_sim(fp, &stats);
-        let sims = store.root().join("sims");
-        assert!(sims.join(format!("{fp}.bin")).exists());
-        let text = ArtifactStore::open(store.root())
-            .unwrap()
-            .with_format(StoreFormat::Text);
-        text.save_sim(fp, &stats);
-        // A name lives in exactly one extension: the rewrite removed
-        // the binary twin, so a later gc or convert can't resurrect a
-        // stale version of the artifact.
-        assert!(sims.join(format!("{fp}.txt")).exists());
-        assert!(!sims.join(format!("{fp}.bin")).exists());
-        assert_eq!(store.usage().unwrap().sims.files, 1);
-    }
-
-    #[test]
-    fn convert_migrates_between_formats_in_place() {
-        use netlist::cells;
-
-        // A store fully written in the text format...
-        let store = temp_store("convert").with_format(StoreFormat::Text);
-        let p = cdfg::profile("wang").unwrap();
-        let g = cdfg::generate(p, p.seed);
-        let rc = paper_constraint("wang").unwrap();
-        let cfg = FlowConfig::fast();
-        let (sched, rb) = flow::prepare(&g, &rc, &cfg);
-        let pfp = Fingerprint(11);
-        store.save_prepared(pfp, &sched, &rb);
-
-        let mut nl = Netlist::new("conv");
-        let a: Vec<_> = (0..3).map(|i| nl.add_input(format!("a{i}"))).collect();
-        let b: Vec<_> = (0..3).map(|i| nl.add_input(format!("b{i}"))).collect();
-        let prod = cells::array_multiplier(&mut nl, "m", &a, &b);
-        for (i, s) in prod.iter().enumerate() {
-            nl.mark_output(format!("p{i}"), *s);
-        }
-        let artifact = MappedArtifact {
-            netlist: nl,
-            luts: 17,
-            depth: 5,
-            estimated_sa: 2.625,
-            registers: 3,
-        };
-        let nfp = Fingerprint(12);
-        store.save_mapped(nfp, &artifact);
-
-        let stats = SimStats {
-            cycles: 64,
-            total_transitions: 640,
-            functional_transitions: 600,
-            glitch_transitions: 40,
-            per_node: vec![0; 9],
-        };
-        let sfp = Fingerprint(13);
-        store.save_sim(sfp, &stats);
-
-        let mut table = SaTable::new(4, 4);
-        table.insert(FuType::Mul, 3, 5, 1.5);
-        store.merge_sa_table(&table);
-
-        for kind in ["prepared", "netlists", "sims", "satables"] {
-            let names = store.raw_list(kind).unwrap();
-            assert_eq!(names.len(), 1, "{kind} populated");
-            assert!(
-                store
-                    .root()
-                    .join(kind)
-                    .join(format!("{}.txt", names[0]))
-                    .exists(),
-                "{kind} starts out as text"
-            );
-        }
-
-        // ...migrates in place to binary...
-        let report = store.convert(StoreFormat::Binary).unwrap();
-        assert_eq!(
-            (report.converted, report.unchanged, report.failed),
-            (4, 0, 0),
-            "{report}"
-        );
-        for kind in ["prepared", "netlists", "sims", "satables"] {
-            let name = &store.raw_list(kind).unwrap()[0];
-            assert!(store.root().join(kind).join(format!("{name}.bin")).exists());
-            assert!(!store.root().join(kind).join(format!("{name}.txt")).exists());
-        }
-        // ...idempotently...
-        let again = store.convert(StoreFormat::Binary).unwrap();
-        assert_eq!((again.converted, again.unchanged, again.failed), (0, 4, 0));
-
-        // ...and every artifact reloads exactly.
-        let (s2, r2) = store.load_prepared(pfp, |_, _| true).unwrap();
-        assert_eq!(s2, sched);
-        assert_eq!(r2.reg_of, rb.reg_of);
-        assert_eq!(r2.swap, rb.swap);
-        let m2 = store.load_mapped(nfp).unwrap();
-        assert_eq!(m2.luts, 17);
-        assert_eq!(m2.estimated_sa.to_bits(), 2.625f64.to_bits());
-        assert_eq!(
-            write_netlist_text(&m2.netlist),
-            write_netlist_text(&artifact.netlist)
-        );
-        let sim2 = store.load_sim(sfp).unwrap();
-        assert_eq!(sim2.total_transitions, 640);
-        assert_eq!(sim2.per_node.len(), 9);
-        let t2 = store
-            .load_sa_table(SaMode::Precalculated, 4, 4)
-            .expect("sa shard survives conversion");
-        assert_eq!(t2.lookup(FuType::Mul, 3, 5), Some(1.5));
-
-        // The round trip back to text converts everything again.
-        let back = store.convert(StoreFormat::Text).unwrap();
-        assert_eq!((back.converted, back.unchanged, back.failed), (4, 0, 0));
-        assert!(store.load_sim(sfp).is_some());
     }
 
     #[test]
@@ -3616,7 +3057,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         fs::write(&sim_file, &bytes).unwrap();
-        // Inject a text mapped artifact whose netlist parses but is
+        // Inject a mapped artifact whose netlist decodes but is
         // semantically broken (undriven latch) — the defect the decode
         // codecs alone cannot name.
         let mut nl = Netlist::new("hostile");
@@ -3629,7 +3070,7 @@ mod tests {
             registers: 1,
         };
         let bad_fp = Fingerprint(0xbad).to_string();
-        store.raw_put("netlists", &bad_fp, mapped_text(&broken).as_bytes());
+        store.raw_put("netlists", &bad_fp, &encode_mapped(&broken));
         // And one artifact filed under a name that is no fingerprint.
         store.raw_put("sims", "not-a-fingerprint", b"# hlpower sim v1\n");
 
@@ -3932,11 +3373,7 @@ mod tests {
             registers: 1,
         };
         let unfixable_fp = Fingerprint(0xdead).to_string();
-        store.raw_put(
-            "netlists",
-            &unfixable_fp,
-            mapped_text(&unfixable).as_bytes(),
-        );
+        store.raw_put("netlists", &unfixable_fp, &encode_mapped(&unfixable));
         assert!(
             audit_artifact_bytes("netlists", &fixable_fp, &fixable_mapped_bin()).is_err(),
             "the planted artifact really is defective"
@@ -3966,13 +3403,12 @@ mod tests {
         assert!(format!("{report}").contains("1 fixed"), "{report}");
 
         // The fixed slot serves again, audits clean under the full
-        // auditor, stayed binary, and its repaired netlist lost the
+        // auditor, and its repaired netlist lost the
         // duplicate driver and the dead cone but kept both outputs.
         let fixed_bytes = store
             .raw_get("netlists", &fixable_fp)
             .expect("fixed slot still serves");
         assert!(audit_artifact_bytes("netlists", &fixable_fp, &fixed_bytes).is_ok());
-        assert!(binio::is_binary(&fixed_bytes), "original encoding kept");
         let fixed = decode_mapped_unchecked(&fixed_bytes).unwrap();
         assert_eq!(fixed.netlist.num_nodes(), 3, "a, dup, y survive");
         assert_eq!(fixed.netlist.outputs().len(), 2);
@@ -4009,18 +3445,13 @@ mod tests {
     }
 
     #[test]
-    fn convert_never_resurrects_quarantine_and_resets_the_audit_story() {
-        let store = temp_store("convert-bad-twins").with_format(StoreFormat::Text);
-        let p = cdfg::profile("wang").unwrap();
-        let g = cdfg::generate(p, p.seed);
-        let rc = paper_constraint("wang").unwrap();
-        let cfg = FlowConfig::fast();
-        let (sched, rb) = flow::prepare(&g, &rc, &cfg);
-        store.save_prepared(prepared_fingerprint(&g, &rc, &cfg), &sched, &rb);
+    fn rewrite_never_resurrects_quarantine_and_resets_the_audit_story() {
+        let store = populated_store("rewrite-bad-twins");
         // Quarantine a corrupt slot, then put a *good* artifact under
         // the same name: the live slot and its `.bad` twin now coexist.
-        let fp = Fingerprint(0xc0).to_string();
-        store.raw_put("sims", &fp, b"# hlpower sim v1\ngarbage\n");
+        let fp = Fingerprint(0xc0);
+        let name = fp.to_string();
+        store.raw_put("sims", &name, b"garbage");
         let report = store.fsck(true).unwrap();
         assert_eq!(report.quarantined, 1, "{report}");
         let stats = SimStats {
@@ -4030,36 +3461,21 @@ mod tests {
             glitch_transitions: 1,
             per_node: vec![2, 2],
         };
-        store.raw_put("sims", &fp, stats.to_summary_text().as_bytes());
+        store.save_sim(fp, &stats);
         assert!(store.fsck(false).unwrap().is_clean());
+        assert_eq!(store.fsck(false).unwrap().audited(), 0, "warm");
 
-        // Convert text -> binary. The live slots transcode; the `.bad`
-        // twin must be neither converted, deleted, nor resurrected.
-        let bad_path = store.root().join("sims").join(format!("{fp}.txt.bad"));
+        // Rewriting the slot drops its watermark, so the next fsck
+        // re-audits exactly that slot rather than vouching for bytes it
+        // never saw; the `.bad` evidence is neither touched nor served.
+        let bad_path = store.root().join("sims").join(format!("{name}.bin.bad"));
         let bad_before = fs::read(&bad_path).expect("quarantine evidence exists");
-        let conv = store.convert(StoreFormat::Binary).unwrap();
-        assert!(conv.converted >= 2, "{conv:?}");
-        assert_eq!(fs::read(&bad_path).unwrap(), bad_before);
-        assert!(
-            !store
-                .root()
-                .join("sims")
-                .join(format!("{fp}.bin.bad"))
-                .exists(),
-            "convert must not touch quarantined files"
-        );
-
-        // Every converted slot was rewritten, so every pre-convert
-        // watermark is stale and must have been dropped: the next fsck
-        // re-audits the whole store rather than vouching for bytes it
-        // never saw.
+        store.save_sim(fp, &stats);
         let after = store.fsck(false).unwrap();
         assert!(after.is_clean(), "{after}");
-        assert_eq!(
-            after.audited(),
-            after.scanned,
-            "convert invalidates every watermark ({after})"
-        );
+        assert_eq!(after.audited(), 1, "the rewrite invalidates its watermark");
+        assert_eq!(fs::read(&bad_path).unwrap(), bad_before);
+        assert_eq!(store.load_sim(fp).unwrap().total_transitions, 4);
         assert_eq!(store.fsck(false).unwrap().audited(), 0, "then warm again");
     }
 }

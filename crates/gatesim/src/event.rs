@@ -55,69 +55,14 @@ impl SimStats {
         }
     }
 
-    /// Serializes the summary (cycles, transition totals, node count) to
-    /// one line of text — the persistence format the experiment artifact
-    /// store caches simulation results in. Per-node counters are *not*
-    /// part of the summary; [`SimStats::from_summary_text`] restores them
-    /// as zeros of the right length, so every aggregate accessor
-    /// (totals, [`SimStats::glitch_fraction`], [`SimStats::mean_activity`])
+    /// Serializes the summary (cycles, transition totals, node count) as
+    /// an `hlpbin v1` `"simu"` container — the format the experiment
+    /// artifact store caches simulation results in — as one section of
+    /// five little-endian `u64`s. Per-node counters are *not* part of the
+    /// summary; [`SimStats::from_summary_bin`] restores them as zeros of
+    /// the right length, so every aggregate accessor (totals,
+    /// [`SimStats::glitch_fraction`], [`SimStats::mean_activity`])
     /// survives the round trip exactly.
-    pub fn to_summary_text(&self) -> String {
-        format!(
-            "# hlpower sim v1\ncycles {} total {} functional {} glitch {} nodes {}\n",
-            self.cycles,
-            self.total_transitions,
-            self.functional_transitions,
-            self.glitch_transitions,
-            self.per_node.len()
-        )
-    }
-
-    /// Parses a summary written by [`SimStats::to_summary_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem on malformed input or a
-    /// version-header mismatch.
-    pub fn from_summary_text(text: &str) -> Result<SimStats, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("# hlpower sim v1") => {}
-            other => return Err(format!("bad sim summary header {other:?}")),
-        }
-        let line = lines.next().ok_or("missing sim summary line")?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let field = |key: &str, pos: usize| -> Result<u64, String> {
-            if toks.get(pos) != Some(&key) {
-                return Err(format!("expected `{key}` at token {pos} of `{line}`"));
-            }
-            toks.get(pos + 1)
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("bad `{key}` value in `{line}`"))
-        };
-        let cycles = field("cycles", 0)?;
-        let total_transitions = field("total", 2)?;
-        let functional_transitions = field("functional", 4)?;
-        let glitch_transitions = field("glitch", 6)?;
-        let nodes = field("nodes", 8)? as usize;
-        // checked_add: corrupt counts near u64::MAX must report an error,
-        // not overflow-panic in debug builds (loads treat Err as a miss).
-        if functional_transitions.checked_add(glitch_transitions) != Some(total_transitions) {
-            return Err(format!("inconsistent transition split in `{line}`"));
-        }
-        Ok(SimStats {
-            cycles,
-            total_transitions,
-            functional_transitions,
-            glitch_transitions,
-            per_node: vec![0; nodes],
-        })
-    }
-
-    /// Serializes the summary as an `hlpbin v1` `"simu"` container — the
-    /// store's hot-path format. Carries exactly the fields of
-    /// [`SimStats::to_summary_text`] (per-node counters are dropped the
-    /// same way), as one section of five little-endian `u64`s.
     pub fn to_summary_bin(&self) -> Vec<u8> {
         let mut w = binio::BinWriter::new(binio::KIND_SIM, SIM_SUMMARY_VERSION);
         let mut body = Vec::with_capacity(40);
@@ -131,8 +76,7 @@ impl SimStats {
     }
 
     /// Parses a summary written by [`SimStats::to_summary_bin`],
-    /// enforcing the same transition-split consistency check as the text
-    /// parser.
+    /// rejecting a transition split where functional + glitch != total.
     ///
     /// # Errors
     ///
@@ -536,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_text_roundtrips_aggregates() {
+    fn summary_bin_roundtrips_aggregates() {
         let mut nl = Netlist::new("sum");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -545,38 +489,6 @@ mod tests {
         let h = nl.add_logic("h", vec![g, c], TruthTable::and(2));
         nl.mark_output("o", h);
         let stats = crate::run_random(&nl, 200, 7);
-        let back = SimStats::from_summary_text(&stats.to_summary_text()).unwrap();
-        assert_eq!(back.cycles, stats.cycles);
-        assert_eq!(back.total_transitions, stats.total_transitions);
-        assert_eq!(back.functional_transitions, stats.functional_transitions);
-        assert_eq!(back.glitch_transitions, stats.glitch_transitions);
-        assert_eq!(back.per_node.len(), stats.per_node.len());
-        assert_eq!(back.glitch_fraction(), stats.glitch_fraction());
-        assert_eq!(back.mean_activity(), stats.mean_activity());
-    }
-
-    #[test]
-    fn summary_text_rejects_garbage() {
-        assert!(SimStats::from_summary_text("").is_err());
-        assert!(SimStats::from_summary_text("# hlpower sim v2\ncycles 1\n").is_err());
-        assert!(SimStats::from_summary_text(
-            "# hlpower sim v1\ncycles 1 total 5 functional 2 glitch 2 nodes 4\n"
-        )
-        .is_err());
-        let ok = "# hlpower sim v1\ncycles 1 total 5 functional 3 glitch 2 nodes 4\n";
-        let s = SimStats::from_summary_text(ok).unwrap();
-        assert_eq!(s.total_transitions, 5);
-        assert_eq!(s.per_node, vec![0; 4]);
-    }
-
-    #[test]
-    fn summary_bin_roundtrips_and_agrees_with_text() {
-        let mut nl = Netlist::new("sum");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let g = nl.add_logic("g", vec![a, b], TruthTable::and(2));
-        nl.mark_output("o", g);
-        let stats = crate::run_random(&nl, 150, 3);
         let bin = stats.to_summary_bin();
         let back = SimStats::from_summary_bin(&bin).unwrap();
         assert_eq!(back.cycles, stats.cycles);
@@ -584,9 +496,8 @@ mod tests {
         assert_eq!(back.functional_transitions, stats.functional_transitions);
         assert_eq!(back.glitch_transitions, stats.glitch_transitions);
         assert_eq!(back.per_node.len(), stats.per_node.len());
-        // Binary and text carry the same summary.
-        let via_text = SimStats::from_summary_text(&stats.to_summary_text()).unwrap();
-        assert_eq!(back.total_transitions, via_text.total_transitions);
+        assert_eq!(back.glitch_fraction(), stats.glitch_fraction());
+        assert_eq!(back.mean_activity(), stats.mean_activity());
         // Re-encoding is byte-stable.
         assert_eq!(back.to_summary_bin(), bin);
     }

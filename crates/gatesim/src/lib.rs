@@ -6,16 +6,14 @@
 //!   oracle for mapping and datapath elaboration);
 //! * [`CycleSim`] — event-driven **unit-delay** simulation that counts
 //!   every output transition per node per clock cycle, split into
-//!   functional transitions and glitches;
-//! * [`WordSim`] — the **word-parallel (bit-sliced)** unit-delay
-//!   simulator: up to 64 independent lanes per `u64` node word, each lane
-//!   bit-exact with a [`CycleSim`] run seeded via [`lane_seed`];
-//! * [`SlabSim`] — the **multi-word slab** generalization: up to
-//!   [`MAX_SLAB_LANES`] (512) lanes as `[u64; W]` chunks per node, with
-//!   autovectorized straight-line kernels and an activity-gated sparse
-//!   sweep that skips slab words whose fanins are quiescent. Lane `L`
-//!   is bit-exact with the scalar run seeded `lane_seed(seed, L)`, and
-//!   word `j` with a [`WordSim`] run at lane offset `64 j`.
+//!   functional transitions and glitches — the scalar reference engine
+//!   for one vector stream;
+//! * [`SlabSim`] — the **bit-sliced** unit-delay simulator for many
+//!   streams: up to [`MAX_SLAB_LANES`] (512) independent lanes as
+//!   `[u64; W]` words per node, with autovectorized straight-line
+//!   kernels and an activity-gated sparse sweep that skips slab words
+//!   whose fanins are quiescent. Lane `L` is bit-exact with the scalar
+//!   run seeded [`lane_seed`]`(seed, L)`.
 //!
 //! Together with the seeded vector drivers ([`run_random`], [`run_with`])
 //! this substitutes for the paper's Quartus II simulation + PowerPlay
@@ -48,7 +46,6 @@ pub mod event;
 pub mod slabsim;
 pub mod vcd;
 pub mod vectors;
-pub mod wordsim;
 
 pub use eval::Evaluator;
 pub use event::{CycleReport, CycleSim, SimStats};
@@ -57,7 +54,4 @@ pub use slabsim::{
     MAX_SLAB_WORDS,
 };
 pub use vcd::dump_vcd;
-pub use vectors::{
-    lane_seed, run_random, run_with, SlabVectorSource, VectorSource, WordVectorSource,
-};
-pub use wordsim::{run_random_word, WordSim, MAX_LANES};
+pub use vectors::{lane_seed, run_random, run_with, SlabVectorSource, VectorSource};

@@ -1,13 +1,17 @@
-//! Multi-word slab simulation: past-64-lane bit slicing with an
-//! activity-gated sparse sweep.
+//! Multi-word slab simulation: bit-sliced lanes with an activity-gated
+//! sparse sweep.
 //!
-//! [`SlabSim`] generalizes [`crate::WordSim`] from one `u64` per node to
-//! a **slab** of `W` words per node (`[u64; W]`, up to
-//! [`MAX_SLAB_LANES`] = 512 lanes at `W = 8`). The inner evaluation
-//! kernel is written as straight-line per-word loops over a
-//! const-generic `W`, which the compiler unrolls and autovectorizes —
-//! one LUT-row pass evaluates all `W × 64` lanes with SIMD-width AND/OR
-//! chains instead of `W` separate event-wheel passes.
+//! [`SlabSim`] packs up to [`MAX_SLAB_LANES`] (512) **independent
+//! simulation lanes** into a **slab** of `W` `u64` words per node
+//! (`[u64; W]`, 64 lanes per word, `W` up to [`MAX_SLAB_WORDS`]): lane
+//! `L` of every node slab is a complete, self-contained unit-delay
+//! simulation identical to what [`crate::CycleSim`] would compute for
+//! that lane's stimulus. LUT rows are evaluated bitwise across all lanes
+//! at once, and transitions are counted with a `popcount` of `old ^ new`
+//! per changed word — so one pass through the event wheel advances up to
+//! 512 random-vector streams. The inner evaluation kernel is written as
+//! straight-line per-word loops over a const-generic `W`, which the
+//! compiler unrolls and autovectorizes.
 //!
 //! On top of the wide kernel sits an **activity gate**: every node
 //! carries a per-word dirty bitmask (`u8`, one bit per slab word) that
@@ -15,20 +19,27 @@
 //! scheduled node is evaluated, only its dirty words are recomputed — a
 //! word in which no fanin changed would re-evaluate to its current
 //! value, so skipping it is **exact**, not an approximation (the same
-//! argument that makes [`crate::WordSim`]'s lane re-evaluation free of
-//! spurious transitions). Quiescent slab regions therefore cost nothing
-//! beyond a mask test, and [`SlabSim::activity`] reports the measured
-//! skip rate.
+//! argument that makes re-evaluating a lane whose fanins are quiet free
+//! of spurious transitions). Quiescent slab regions therefore cost
+//! nothing beyond a mask test, and [`SlabSim::activity`] reports the
+//! measured skip rate.
 //!
-//! Lane-exactness is inherited unchanged from the single-word engine:
+//! Lane-exactness is the module's contract:
 //!
+//! * the event wheel schedules a node whenever **any** lane's fanin
+//!   changed, but a lane in which no fanin changed re-evaluates to its
+//!   current value, so no spurious transitions are ever counted;
+//! * the functional/glitch split is taken per lane (`popcount` of
+//!   settled-XOR-cycle-start), exactly as [`crate::CycleSim`] splits a
+//!   single lane;
 //! * global lane `L` lives in word `L / 64`, bit `L % 64`, and draws its
 //!   stimulus from [`crate::lane_seed`]`(seed, L)` — so lane 0 of word 0
-//!   replays the scalar stream byte for byte;
-//! * any `N`-lane slab run is the lane-decomposition of its 64-lane
-//!   sub-runs: word `j` reproduces a [`crate::WordSim`] run whose lanes
-//!   are seeded with offset `64 j` (the differential tests assert both
-//!   identities).
+//!   replays the scalar stream byte for byte, and any `N`-lane run is
+//!   the lane-decomposition of `N` scalar runs (the differential tests
+//!   assert both identities).
+//!
+//! [`SimStats::cycles`] counts *lane-cycles* (`steps × lanes`), so the
+//! downstream power model sees a 256-lane run as 256× the vector budget.
 //!
 //! # Examples
 //!
@@ -50,7 +61,6 @@
 use crate::eval::Evaluator;
 use crate::event::{CycleReport, SimStats};
 use crate::vectors::SlabVectorSource;
-use crate::wordsim::eval_word;
 use netlist::{Netlist, NodeId, NodeKind, TruthTable};
 
 /// Maximum number of slab words per node (the dirty mask is a `u8`).
@@ -83,6 +93,28 @@ impl SlabActivity {
             1.0 - self.words_evaluated as f64 / self.words_offered as f64
         }
     }
+}
+
+/// Evaluates one truth table bitwise across the lanes of one slab word:
+/// OR over the true rows of the AND of each fanin word (inverted where
+/// the row has a 0). `mask` limits the result to the active lanes. This
+/// is the sparse path's per-word kernel.
+fn eval_word(table: &TruthTable, fanins: &[u64], mask: u64) -> u64 {
+    let mut out = 0u64;
+    for row in 0..(1u32 << fanins.len()) {
+        if !table.eval(row) {
+            continue;
+        }
+        let mut m = mask;
+        for (k, &w) in fanins.iter().enumerate() {
+            m &= if (row >> k) & 1 == 1 { w } else { !w };
+            if m == 0 {
+                break;
+            }
+        }
+        out |= m;
+    }
+    out
 }
 
 /// Evaluates one truth table across a whole slab: OR over the true rows
@@ -120,10 +152,11 @@ fn eval_slab<const W: usize>(table: &TruthTable, fanins: &[[u64; W]], mask: &[u6
 /// packed as `W`-word slabs, with an activity-gated sparse sweep.
 ///
 /// Each [`SlabSim::step`] models one clock cycle in every lane
-/// simultaneously, exactly like [`crate::WordSim`] — the event wheel,
-/// two-phase time slots, and per-lane functional/glitch split are the
-/// same algorithm — but values are `[u64; W]` slabs and evaluation only
-/// touches the slab words whose fanins changed.
+/// simultaneously: latches capture their `D` slabs and primary inputs
+/// take their new slabs at time 0, then changes propagate with one unit
+/// of delay per logic level — the event wheel and two-phase time slots
+/// of [`crate::CycleSim`] — while per-lane transitions are accumulated.
+/// Evaluation only touches the slab words whose fanins changed.
 #[derive(Debug)]
 pub struct SlabSim<'a, const W: usize> {
     nl: &'a Netlist,
@@ -137,7 +170,7 @@ pub struct SlabSim<'a, const W: usize> {
     cycle_start: Vec<u64>,
     stats: SimStats,
     steps_done: u64,
-    // time wheel state (mirrors `WordSim`)
+    // time wheel state (mirrors `CycleSim`)
     wheel: Vec<Vec<NodeId>>,
     scheduled_at: Vec<u32>,
     touched: Vec<NodeId>,
@@ -328,7 +361,7 @@ impl<'a, const W: usize> SlabSim<'a, W> {
 
         // Propagate with unit delay; two-phase per time slot so every node
         // scheduled at time t sees its fanins as of time t-1 (in every
-        // lane), exactly like the single-word engine.
+        // lane), exactly like the scalar simulator.
         let mut t = 1usize;
         while t < self.wheel.len() {
             if self.wheel[t].is_empty() {
@@ -502,7 +535,7 @@ fn run_slab<const W: usize>(
 /// [`MAX_SLAB_LANES`]) with uniform random primary-input vectors — global
 /// lane `L` draws its stream from [`crate::lane_seed`]`(seed, L)`, so
 /// lane 0 reproduces [`crate::run_random`]`(nl, steps, seed)` exactly and
-/// any run is the lane-decomposition of its 64-lane sub-runs — and
+/// any run is the lane-decomposition of its per-lane scalar runs — and
 /// returns the cumulative statistics plus the activity-gate counters.
 ///
 /// The slab width is chosen at runtime: `lanes.div_ceil(64)` words per
@@ -534,8 +567,7 @@ pub fn run_random_slab_with_activity(
     }
 }
 
-/// [`run_random_slab_with_activity`] without the activity counters — the
-/// drop-in slab counterpart of [`crate::run_random_word`].
+/// [`run_random_slab_with_activity`] without the activity counters.
 ///
 /// # Examples
 ///
@@ -546,9 +578,9 @@ pub fn run_random_slab_with_activity(
 /// let b = nl.add_input("b");
 /// let g = nl.add_logic("g", vec![a, b], TruthTable::and(2));
 /// nl.mark_output("o", g);
-/// let slab = gatesim::run_random_slab(&nl, 100, 42, 64);
-/// let word = gatesim::run_random_word(&nl, 100, 42, 64);
-/// assert_eq!(slab.total_transitions, word.total_transitions);
+/// let slab = gatesim::run_random_slab(&nl, 100, 42, 1);
+/// let scalar = gatesim::run_random(&nl, 100, 42);
+/// assert_eq!(slab.total_transitions, scalar.total_transitions);
 /// ```
 pub fn run_random_slab(nl: &Netlist, steps: u64, seed: u64, lanes: usize) -> SimStats {
     run_random_slab_with_activity(nl, steps, seed, lanes).0
@@ -557,8 +589,7 @@ pub fn run_random_slab(nl: &Netlist, steps: u64, seed: u64, lanes: usize) -> Sim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vectors::WordVectorSource;
-    use crate::wordsim::{run_random_word, WordSim};
+    use crate::vectors::{lane_seed, VectorSource};
     use netlist::{cells, TruthTable};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -587,6 +618,44 @@ mod tests {
         nl
     }
 
+    /// One 64-lane sub-run of a wider slab: a one-word slab whose lane
+    /// `L` is seeded as global lane `offset + L`.
+    fn word_subrun(nl: &Netlist, steps: u64, seed: u64, lanes: usize, offset: usize) -> SimStats {
+        let mut sim = SlabSim::<1>::new(nl, lanes);
+        let mut sources: Vec<VectorSource> = (0..lanes)
+            .map(|l| VectorSource::new(lane_seed(seed, offset + l)))
+            .collect();
+        let mut bits = vec![false; nl.inputs().len()];
+        let mut words = vec![0u64; nl.inputs().len()];
+        for _ in 0..steps {
+            words.fill(0);
+            for (l, src) in sources.iter_mut().enumerate() {
+                src.fill(&mut bits);
+                for (w, &b) in words.iter_mut().zip(&bits) {
+                    *w |= (b as u64) << l;
+                }
+            }
+            sim.step(&words);
+        }
+        sim.stats().clone()
+    }
+
+    #[test]
+    fn eval_word_matches_truth_table() {
+        let xor3 = TruthTable::xor(3);
+        // Lane L of each fanin word carries row L's input assignment.
+        let mut fanins = [0u64; 3];
+        for row in 0..8u32 {
+            for (k, w) in fanins.iter_mut().enumerate() {
+                *w |= u64::from((row >> k) & 1) << row;
+            }
+        }
+        let out = eval_word(&xor3, &fanins, 0xFF);
+        for row in 0..8u32 {
+            assert_eq!((out >> row) & 1 == 1, xor3.eval(row), "row {row}");
+        }
+    }
+
     #[test]
     fn eval_slab_matches_eval_word_per_word() {
         let xor3 = TruthTable::xor(3);
@@ -603,17 +672,29 @@ mod tests {
     }
 
     #[test]
-    fn single_word_slab_matches_wordsim() {
-        // W = 1 must be the existing engine, stat for stat.
+    fn single_word_slab_matches_per_lane_scalar_runs() {
+        // W = 1 is the sum of its lanes' scalar runs, stat for stat.
         let nl = lut_soup(3, 6, 40);
         for lanes in [1, 17, 64] {
             let slab = run_random_slab(&nl, 60, 5, lanes);
-            let word = run_random_word(&nl, 60, 5, lanes);
-            assert_eq!(slab.cycles, word.cycles, "{lanes} lanes");
-            assert_eq!(slab.total_transitions, word.total_transitions);
-            assert_eq!(slab.functional_transitions, word.functional_transitions);
-            assert_eq!(slab.glitch_transitions, word.glitch_transitions);
-            assert_eq!(slab.per_node, word.per_node);
+            let lane_runs: Vec<SimStats> = (0..lanes)
+                .map(|l| crate::run_random(&nl, 60, lane_seed(5, l)))
+                .collect();
+            let sum = |f: fn(&SimStats) -> u64| lane_runs.iter().map(f).sum::<u64>();
+            assert_eq!(slab.cycles, sum(|s| s.cycles), "{lanes} lanes");
+            assert_eq!(slab.total_transitions, sum(|s| s.total_transitions));
+            assert_eq!(
+                slab.functional_transitions,
+                sum(|s| s.functional_transitions)
+            );
+            assert_eq!(slab.glitch_transitions, sum(|s| s.glitch_transitions));
+            let mut per_node = vec![0u64; nl.num_nodes()];
+            for s in &lane_runs {
+                for (acc, x) in per_node.iter_mut().zip(&s.per_node) {
+                    *acc += x;
+                }
+            }
+            assert_eq!(slab.per_node, per_node);
         }
     }
 
@@ -645,7 +726,7 @@ mod tests {
 
     #[test]
     fn slab_decomposes_into_word_subruns_on_lut_soup() {
-        // 256 lanes = the sum of four 64-lane WordSim runs whose lanes
+        // 256 lanes = the sum of four 64-lane one-word runs whose lanes
         // are seeded with offsets 0, 64, 128, 192.
         let nl = lut_soup(21, 7, 60);
         let seed = 13;
@@ -655,14 +736,7 @@ mod tests {
         let mut functional = 0u64;
         let mut per_node = vec![0u64; nl.num_nodes()];
         for j in 0..4 {
-            let mut sim = WordSim::new(&nl, 64);
-            let mut src = WordVectorSource::with_lane_offset(seed, 64, 64 * j);
-            let mut words = vec![0u64; nl.inputs().len()];
-            for _ in 0..steps {
-                src.fill_words(&mut words);
-                sim.step(&words);
-            }
-            let s = sim.stats();
+            let s = word_subrun(&nl, steps, seed, 64, 64 * j);
             total += s.total_transitions;
             functional += s.functional_transitions;
             for (acc, x) in per_node.iter_mut().zip(&s.per_node) {
@@ -696,15 +770,9 @@ mod tests {
         let mut total = 0u64;
         let mut per_node = vec![0u64; nl.num_nodes()];
         for (j, sub) in [64usize, 64, 2].iter().enumerate() {
-            let mut sim = WordSim::new(&nl, *sub);
-            let mut src = WordVectorSource::with_lane_offset(seed, *sub, 64 * j);
-            let mut words = vec![0u64; nl.inputs().len()];
-            for _ in 0..steps {
-                src.fill_words(&mut words);
-                sim.step(&words);
-            }
-            total += sim.stats().total_transitions;
-            for (acc, x) in per_node.iter_mut().zip(&sim.stats().per_node) {
+            let s = word_subrun(&nl, steps, seed, *sub, 64 * j);
+            total += s.total_transitions;
+            for (acc, x) in per_node.iter_mut().zip(&s.per_node) {
                 *acc += x;
             }
         }
@@ -727,11 +795,11 @@ mod tests {
         }
         let lanes = 256;
         let mut sim = SlabSim::<4>::new(&nl, lanes);
-        let mut src = WordVectorSource::new(3, 64);
+        let mut src = SlabVectorSource::new(3, 64);
         let mut low = vec![0u64; nl.inputs().len()];
         let mut words = vec![0u64; nl.inputs().len() * 4];
         for _ in 0..40 {
-            src.fill_words(&mut low);
+            src.fill_slab(&mut low);
             for (i, &w) in low.iter().enumerate() {
                 words[i * 4] = w; // words 1..4 stay all-zero
             }
@@ -747,18 +815,61 @@ mod tests {
         );
         assert!(act.skip_rate() >= 0.74, "skip rate {}", act.skip_rate());
         // And the live word still agrees with a plain 64-lane run.
-        let reference = {
-            let mut sim = WordSim::new(&nl, 64);
-            let mut src = WordVectorSource::new(3, 64);
-            let mut words = vec![0u64; nl.inputs().len()];
-            for _ in 0..40 {
-                src.fill_words(&mut words);
-                sim.step(&words);
-            }
-            sim.stats().clone()
-        };
+        let reference = run_random_slab(&nl, 40, 3, 64);
         assert_eq!(sim.stats().total_transitions, reference.total_transitions);
         assert_eq!(sim.stats().per_node, reference.per_node);
+    }
+
+    #[test]
+    fn latches_capture_per_lane() {
+        // 1-bit toggler: q' = q XOR in. Drive lane 0 with in=1 (toggles
+        // every cycle) and lane 1 with in=0 (never toggles).
+        let mut nl = Netlist::new("t");
+        let d = nl.add_input("d");
+        let q = nl.add_latch("q", false);
+        let x = nl.add_logic("x", vec![q, d], TruthTable::xor(2));
+        nl.set_latch_data(q, x);
+        nl.mark_output("o", q);
+        let mut sim = SlabSim::<1>::new(&nl, 2);
+        let mut q_vals = Vec::new();
+        for _ in 0..4 {
+            sim.step(&[0b01]);
+            q_vals.push((sim.value(q, 0), sim.value(q, 1)));
+        }
+        assert_eq!(
+            q_vals,
+            vec![(false, false), (true, false), (false, false), (true, false)],
+            "lane 0 toggles, lane 1 holds"
+        );
+    }
+
+    #[test]
+    fn settled_words_match_oracle_in_every_lane() {
+        let mut nl = Netlist::new("eq");
+        let a: Vec<_> = (0..5).map(|i| nl.add_input(format!("a{i}"))).collect();
+        let b: Vec<_> = (0..5).map(|i| nl.add_input(format!("b{i}"))).collect();
+        let p = cells::array_multiplier(&mut nl, "m", &a, &b);
+        for (i, s) in p.iter().enumerate() {
+            nl.mark_output(format!("p{i}"), *s);
+        }
+        let lanes = 8;
+        let mut sim = SlabSim::<1>::new(&nl, lanes);
+        let mut src = SlabVectorSource::new(3, lanes);
+        let mut words = vec![0u64; nl.inputs().len()];
+        for _ in 0..5 {
+            src.fill_slab(&mut words);
+            sim.step(&words);
+        }
+        let mut ev = Evaluator::new(&nl);
+        for lane in 0..lanes {
+            let x = sim.word(&a, lane);
+            let y = sim.word(&b, lane);
+            ev.set_word(&a, x);
+            ev.set_word(&b, y);
+            ev.settle();
+            assert_eq!(sim.word(&p, lane), ev.word(&p), "lane {lane}: {x}*{y}");
+            assert_eq!(sim.word(&p, lane), (x * y) & 31);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl VectorSource {
 /// Derives the vector-stream seed of one simulation lane.
 ///
 /// Lane 0 keeps the caller's seed **unchanged** — so a single-lane
-/// word-parallel run replays the scalar stream byte for byte — and every
+/// bit-sliced run replays the scalar stream byte for byte — and every
 /// other lane XORs in the SplitMix64 finalizer of its lane index (the
 /// finalizer maps 0 to 0, which is what makes lane 0 the identity).
 ///
@@ -59,87 +59,6 @@ pub fn lane_seed(seed: u64, lane: usize) -> u64 {
     seed ^ (z ^ (z >> 31))
 }
 
-/// Deterministic random vector source for word-parallel simulation: one
-/// independent [`VectorSource`] per lane, each seeded via [`lane_seed`].
-///
-/// Lane `L` draws exactly the bit stream `VectorSource::new(lane_seed(
-/// seed, L))` would, in the same per-cycle order, so word-parallel runs
-/// decompose lane-by-lane into scalar runs.
-#[derive(Debug)]
-pub struct WordVectorSource {
-    sources: Vec<VectorSource>,
-    scratch: Vec<bool>,
-}
-
-impl WordVectorSource {
-    /// Creates one stream per lane from a base seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds 64.
-    pub fn new(seed: u64, lanes: usize) -> Self {
-        Self::with_lane_offset(seed, lanes, 0)
-    }
-
-    /// Creates one stream per lane, seeding lane `L` as **global** lane
-    /// `offset + L` (i.e. [`lane_seed`]`(seed, offset + L)`). This is the
-    /// 64-lane sub-run of a wider slab simulation: word `j` of a
-    /// [`crate::SlabSim`] run equals a [`crate::WordSim`] run driven with
-    /// `offset = 64 j` — the lane-decomposition identity the differential
-    /// tests enforce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds 64, or if `offset + lanes`
-    /// exceeds [`crate::MAX_SLAB_LANES`].
-    pub fn with_lane_offset(seed: u64, lanes: usize, offset: usize) -> Self {
-        assert!((1..=64).contains(&lanes), "lanes must be in 1..=64");
-        assert!(
-            offset + lanes <= crate::MAX_SLAB_LANES,
-            "lane offset {offset} + {lanes} lanes exceeds {}",
-            crate::MAX_SLAB_LANES
-        );
-        WordVectorSource {
-            sources: (0..lanes)
-                .map(|l| VectorSource::new(lane_seed(seed, offset + l)))
-                .collect(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// The per-lane scalar stream (lane `L` of every word drawn so far
-    /// came from this source). Exposed so drivers can interleave word
-    /// draws with per-lane scalar draws without desynchronizing.
-    pub fn lane(&mut self, lane: usize) -> &mut VectorSource {
-        &mut self.sources[lane]
-    }
-
-    /// Fills `words` with one `u64` per primary input: bit `L` of
-    /// `words[i]` is lane `L`'s fresh random value for input `i`.
-    pub fn fill_words(&mut self, words: &mut [u64]) {
-        words.fill(0);
-        self.scratch.resize(words.len(), false);
-        for (lane, src) in self.sources.iter_mut().enumerate() {
-            src.fill(&mut self.scratch);
-            for (w, &b) in words.iter_mut().zip(&self.scratch) {
-                *w |= (b as u64) << lane;
-            }
-        }
-    }
-
-    /// Draws `n` fresh input words (see [`WordVectorSource::fill_words`]).
-    pub fn next_words(&mut self, n: usize) -> Vec<u64> {
-        let mut words = vec![0u64; n];
-        self.fill_words(&mut words);
-        words
-    }
-}
-
 /// Deterministic random vector source for slab simulation: one
 /// independent [`VectorSource`] per lane, up to
 /// [`crate::MAX_SLAB_LANES`], each seeded via [`lane_seed`] on the
@@ -148,8 +67,7 @@ impl WordVectorSource {
 /// Global lane `L` (word `L / 64`, bit `L % 64`) draws exactly the bit
 /// stream `VectorSource::new(lane_seed(seed, L))` would, in the same
 /// per-cycle order — so slab runs decompose lane-by-lane into scalar
-/// runs and word-by-word into [`WordVectorSource::with_lane_offset`]
-/// sub-runs.
+/// runs.
 #[derive(Debug)]
 pub struct SlabVectorSource {
     sources: Vec<VectorSource>,
@@ -272,10 +190,11 @@ mod tests {
     #[test]
     fn lane_zero_replays_the_scalar_stream() {
         assert_eq!(lane_seed(1234, 0), 1234);
-        let mut word = WordVectorSource::new(1234, 4);
+        let mut word = SlabVectorSource::new(1234, 4);
         let mut scalar = VectorSource::new(1234);
+        let mut words = vec![0u64; 8];
         for _ in 0..5 {
-            let words = word.next_words(8);
+            word.fill_slab(&mut words);
             let bits = scalar.next_vector(8);
             for (w, b) in words.iter().zip(&bits) {
                 assert_eq!(w & 1 == 1, *b, "lane 0 must equal the scalar draw");
@@ -287,12 +206,14 @@ mod tests {
     fn word_lanes_decompose_into_scalar_sources() {
         let seed = 77;
         let lanes = 6;
-        let mut word = WordVectorSource::new(seed, lanes);
+        let mut word = SlabVectorSource::new(seed, lanes);
+        assert_eq!(word.words(), 1, "up to 64 lanes fit one slab word");
         let mut scalars: Vec<VectorSource> = (0..lanes)
             .map(|l| VectorSource::new(lane_seed(seed, l)))
             .collect();
+        let mut words = vec![0u64; 5];
         for _ in 0..4 {
-            let words = word.next_words(5);
+            word.fill_slab(&mut words);
             for (l, s) in scalars.iter_mut().enumerate() {
                 let bits = s.next_vector(5);
                 for (w, b) in words.iter().zip(&bits) {

@@ -1,15 +1,16 @@
-//! Differential tests: the word-parallel simulator against the scalar
-//! event simulator.
+//! Differential tests: the bit-sliced simulator at one slab word
+//! (`SlabSim<1>`, up to 64 lanes per `u64`) against the scalar event
+//! simulator.
 //!
 //! The contract under test is lane-exactness. With one lane and the same
-//! vector stream, [`gatesim::WordSim`] must reproduce
-//! [`gatesim::CycleSim`] *byte for byte*: final node values, per-node
-//! transition counters, and the exact total/functional/glitch split.
-//! With many lanes, runs must be deterministic for a fixed seed and must
-//! decompose lane-by-lane into scalar runs seeded with
-//! [`gatesim::lane_seed`].
+//! vector stream, [`gatesim::SlabSim`] must reproduce
+//! [`gatesim::CycleSim`] *byte for byte*: per-cycle reports, final node
+//! values, per-node transition counters, and the exact
+//! total/functional/glitch split. With many lanes, runs must be
+//! deterministic for a fixed seed and must decompose lane-by-lane into
+//! scalar runs seeded with [`gatesim::lane_seed`].
 
-use gatesim::{lane_seed, CycleSim, VectorSource, WordSim, WordVectorSource};
+use gatesim::{lane_seed, CycleSim, SlabSim, SlabVectorSource, VectorSource};
 use netlist::{cells, Netlist, NodeId, TruthTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,7 +72,7 @@ fn random_lut_soup(inputs: usize, gates: usize, seed: u64) -> Netlist {
 fn assert_single_lane_matches_scalar(nl: &Netlist, cycles: u64, seed: u64) {
     let name = nl.name();
     let mut scalar = CycleSim::new(nl);
-    let mut word = WordSim::new(nl, 1);
+    let mut word = SlabSim::<1>::new(nl, 1);
     let mut src = VectorSource::new(seed);
     let n = nl.inputs().len();
     for c in 0..cycles {
@@ -124,11 +125,11 @@ fn multi_lane_decomposes_into_scalar_runs() {
     let seed = 21;
     let lanes = 16;
     let steps = 80u64;
-    let mut word = WordSim::new(&nl, lanes);
-    let mut src = WordVectorSource::new(seed, lanes);
+    let mut word = SlabSim::<1>::new(&nl, lanes);
+    let mut src = SlabVectorSource::new(seed, lanes);
     let mut words = vec![0u64; nl.inputs().len()];
     for _ in 0..steps {
-        src.fill_words(&mut words);
+        src.fill_slab(&mut words);
         word.step(&words);
     }
     let mut total = 0u64;
@@ -169,14 +170,14 @@ fn multi_lane_decomposes_into_scalar_runs() {
 #[test]
 fn multi_lane_runs_are_deterministic_for_a_fixed_seed() {
     let nl = array_multiplier_netlist(5);
-    let a = gatesim::run_random_word(&nl, 100, 7, 64);
-    let b = gatesim::run_random_word(&nl, 100, 7, 64);
+    let a = gatesim::run_random_slab(&nl, 100, 7, 64);
+    let b = gatesim::run_random_slab(&nl, 100, 7, 64);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.total_transitions, b.total_transitions);
     assert_eq!(a.functional_transitions, b.functional_transitions);
     assert_eq!(a.glitch_transitions, b.glitch_transitions);
     assert_eq!(a.per_node, b.per_node);
     // A different seed must drive the network differently.
-    let c = gatesim::run_random_word(&nl, 100, 8, 64);
+    let c = gatesim::run_random_slab(&nl, 100, 8, 64);
     assert_ne!(a.per_node, c.per_node, "distinct seeds, distinct streams");
 }

@@ -41,8 +41,8 @@ pub const CHECKER_VERSION: u32 = 2;
 /// it as `-`).
 const UNCONNECTED: NodeId = NodeId(u32::MAX);
 
-/// Word-level buses wider than this violate the simulator's 64-lane /
-/// 64-bit word contract (`gatesim` packs one bus bit per `u64` lane and
+/// Word-level buses wider than this violate the 64-bit word contract
+/// (`gatesim`'s word helpers pack one bus bit per bit of a `u64`, and
 /// the datapath generator caps `--width` at 64).
 pub const MAX_BUS_WIDTH: usize = 64;
 

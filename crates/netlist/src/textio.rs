@@ -4,11 +4,12 @@
 //! through third-party tools but normalizes node order, inserts boundary
 //! buffers for renamed output ports, and reorders latches — so a
 //! BLIF round trip is function-preserving, not structure-preserving.
-//! The artifact store that caches technology-mapped netlists between
-//! experiment runs needs more: the loaded netlist must be **exactly** the
-//! netlist that was saved (same node ids, same order, same names), so
-//! that a simulation of the cached copy is bit-identical to a simulation
-//! of the original, transition counts included.
+//! An exact rendering is **exactly** the netlist that was saved (same
+//! node ids, same order, same names), so a simulation of the reloaded
+//! copy is bit-identical to a simulation of the original, transition
+//! counts included. The artifact store keeps its netlists in the binary
+//! exact codec ([`crate::binio`]); this module is the human-readable one
+//! (`hlp check [--fix]` reads and repairs it).
 //!
 //! [`write_netlist_text`]/[`parse_netlist_text`] are that exact codec:
 //! one line per node in id order, truth tables as raw hex words, names

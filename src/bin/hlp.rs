@@ -37,7 +37,8 @@
 //! hlp merge <dst> <src>...          merge artifact stores (shard fan-in)
 //! hlp check [--fix] <file>...       static semantic checking: .blif and
 //!                                   .cdfg sources, exact netlist text,
-//!                                   and store artifacts of either format
+//!                                   SA-table files, and binary store
+//!                                   artifacts and netlists
 //!                                   (one verdict line per file; exit 1
 //!                                   if any fails); --fix mechanically
 //!                                   repairs netlist-carrying files in
@@ -59,8 +60,6 @@
 //!                                   store size accounting and pruning
 //!                                   (quarantined *.bad files are counted
 //!                                   but never pruned)
-//! hlp store convert DIR [--store-format binary|text]
-//!                                   re-encode every artifact in place
 //! hlp suite [--requests]            list the built-in benchmarks
 //!
 //! options:
@@ -74,10 +73,10 @@
 //!                    hlpower-zd[:A]  (default hlpower; a `:A` suffix
 //!                    overrides --alpha)
 //!   --cycles N       simulation cycles             (default 1000)
-//!   --lanes N        word-parallel simulation lanes, 1..=512; above 64
-//!                    the multi-word slab engine packs lanes/64 words
-//!                    per node (default 1 — byte-identical to the scalar
-//!                    engine, which `--lanes 0` selects explicitly)
+//!   --lanes N        simulation lanes (independent vector streams),
+//!                    0..=512 (default 1); 0 and 1 run one stream on the
+//!                    scalar engine, 2..=512 run the bit-sliced slab
+//!                    engine with lanes/64 words per node
 //!   --sa-mode M      SA-table training: precalculated | zero-delay |
 //!                    simulated | dynamic  (see README)
 //!   --seed N         simulation + register-port seed
@@ -93,9 +92,6 @@
 //!                    `remote:ADDR` for the hot store of an `hlp serve`
 //!                    daemon (not combinable with --remote, which ships
 //!                    the whole job to the daemon instead)
-//!   --store-format F `binary` (default: mmap-able, checksummed) or
-//!                    `text` (debug/interchange) for new store writes;
-//!                    reads always sniff per file, so the formats mix
 //! ```
 //!
 //! Every command speaks the typed service API (`hlpower::api`): `run`
@@ -111,9 +107,7 @@
 
 use cdfg::ResourceConstraint;
 use hlpower::api::{self, Endpoint, JobReport, JobRequest, Server, Service};
-use hlpower::{
-    ArtifactStore, Binder, ControlStyle, GcPolicy, SaMode, SaTable, ServeOptions, StoreFormat,
-};
+use hlpower::{ArtifactStore, Binder, ControlStyle, GcPolicy, SaMode, SaTable, ServeOptions};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -134,17 +128,16 @@ struct Options {
     dot: Option<String>,
     sa_table: Option<String>,
     store: Option<String>,
-    store_format: StoreFormat,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: hlp <run FILE | bench NAME | serve | batch | table OUT | merge DST SRC... | \
-         check FILE... | fsck | gc | store convert DIR | suite> [--width N] [--adders N] \
+         check FILE... | fsck | gc | suite> [--width N] [--adders N] \
          [--mults N] [--alpha A] [--binder B] [--cycles N] [--lanes N] [--sa-mode M] \
          [--seed N] [--fsm] [--remote ADDR] [--vhdl P] [--blif P] [--dot P] [--sa-table P] \
-         [--store DIR|remote:ADDR] [--store-format binary|text]\n\
-         hlp serve (--socket P | --port N) [--store DIR] [--store-format F] \
+         [--store DIR|remote:ADDR]\n\
+         hlp serve (--socket P | --port N) [--store DIR] \
          [--max-clients N] [--workers N] [--queue-depth N] [--flush-every SECS] \
          | --stop | --stats | --fsck-status\n\
          hlp batch --remote ADDR [FILE]\n\
@@ -201,7 +194,6 @@ fn parse_options(args: &[String]) -> Options {
         dot: None,
         sa_table: None,
         store: None,
-        store_format: StoreFormat::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -246,11 +238,6 @@ fn parse_options(args: &[String]) -> Options {
             "--dot" => o.dot = Some(value(&mut i)),
             "--sa-table" => o.sa_table = Some(value(&mut i)),
             "--store" => o.store = Some(value(&mut i)),
-            "--store-format" => {
-                let v = value(&mut i);
-                o.store_format =
-                    StoreFormat::parse(&v).unwrap_or_else(|| bad_value(&flag, &v, "binary | text"));
-            }
             other => {
                 eprintln!("hlp: unknown flag `{other}`");
                 usage()
@@ -432,8 +419,8 @@ fn store_table(o: &Options, pipeline: &hlpower::Pipeline, binder: Binder) {
 /// Opens the artifact store a `--store` spec names (a directory, or
 /// `remote:ADDR` for a daemon's hot store), exiting with a message on
 /// failure. `role` names the store in the error.
-fn open_store_or_die(spec: &str, format: StoreFormat, role: &str) -> ArtifactStore {
-    ArtifactStore::open_spec_with(spec, format)
+fn open_store_or_die(spec: &str, role: &str) -> ArtifactStore {
+    ArtifactStore::open_spec(spec)
         .unwrap_or_else(|e| die(format!("cannot open {role} `{spec}`: {e}")))
 }
 
@@ -464,11 +451,7 @@ fn run_job(o: &Options, source: hlpower::JobSource) {
         return;
     }
     let service = match &o.store {
-        Some(dir) => Service::new().with_store(Arc::new(open_store_or_die(
-            dir,
-            o.store_format,
-            "artifact store",
-        ))),
+        Some(dir) => Service::new().with_store(Arc::new(open_store_or_die(dir, "artifact store"))),
         None => Service::new(),
     };
     let binder = req.binder;
@@ -540,7 +523,6 @@ fn serve(args: &[String]) -> ! {
     let mut socket: Option<String> = None;
     let mut port: Option<u16> = None;
     let mut store: Option<String> = None;
-    let mut store_format = StoreFormat::default();
     let mut stop = false;
     let mut stats = false;
     let mut fsck_status = false;
@@ -557,11 +539,6 @@ fn serve(args: &[String]) -> ! {
             "--socket" => socket = Some(value(&mut i)),
             "--port" => port = Some(parsed(&flag, &value(&mut i), "a port number")),
             "--store" => store = Some(value(&mut i)),
-            "--store-format" => {
-                let v = value(&mut i);
-                store_format =
-                    StoreFormat::parse(&v).unwrap_or_else(|| bad_value(&flag, &v, "binary | text"));
-            }
             "--stop" => stop = true,
             "--stats" => stats = true,
             "--fsck-status" => fsck_status = true,
@@ -644,11 +621,9 @@ fn serve(args: &[String]) -> ! {
         }
     }
     let service = match &store {
-        Some(spec) => Service::new().with_store(Arc::new(open_store_or_die(
-            spec,
-            store_format,
-            "artifact store",
-        ))),
+        Some(spec) => {
+            Service::new().with_store(Arc::new(open_store_or_die(spec, "artifact store")))
+        }
         None => Service::new(),
     };
     let server =
@@ -771,8 +746,9 @@ fn netlist_verdict(nl: &netlist::Netlist, what: &str) -> Result<String, String> 
 
 /// Audits one file for `hlp check`, dispatching on what it holds:
 /// `.blif` and `.cdfg` sources parse and run their semantic checker;
-/// everything else is treated as store-artifact bytes (either format,
-/// sniffed) and audited like `hlp fsck` would.
+/// everything else is sniffed — binary store artifacts and netlists,
+/// exact netlist text, SA-table files — and audited like `hlp fsck`
+/// would.
 fn check_one(path: &str) -> Result<String, String> {
     let data = std::fs::read(path).map_err(|e| format!("cannot read: {e}"))?;
     if path.ends_with(".blif") {
@@ -974,59 +950,6 @@ fn gc(args: &[String]) {
     println!("gc: {report}");
 }
 
-/// `hlp store convert DIR`: re-encode every artifact in place into the
-/// target format (binary unless `--store-format text`). Unreadable
-/// files are left untouched and counted, never deleted.
-fn store_command(args: &[String]) {
-    let Some(verb) = args.first() else {
-        eprintln!("hlp store: missing verb (expected `convert`)");
-        usage()
-    };
-    if verb != "convert" {
-        eprintln!("hlp store: unknown verb `{verb}` (expected `convert`)");
-        usage()
-    }
-    let Some(dir) = args.get(1) else {
-        eprintln!("hlp store convert: missing store directory argument");
-        usage()
-    };
-    if dir.starts_with("remote:") {
-        eprintln!(
-            "hlp store convert: conversion is local-only; run it on the daemon host \
-             against its store directory"
-        );
-        usage()
-    }
-    let mut format = StoreFormat::default();
-    let mut i = 2;
-    while i < args.len() {
-        let flag = args[i].clone();
-        match flag.as_str() {
-            "--store-format" => {
-                let v = take_value(args, &mut i, &flag);
-                format =
-                    StoreFormat::parse(&v).unwrap_or_else(|| bad_value(&flag, &v, "binary | text"));
-            }
-            other => {
-                eprintln!("hlp store convert: unknown flag `{other}`");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    // Strict open: convert must not materialize an empty store at a
-    // mistyped path.
-    let store = ArtifactStore::open_existing(dir)
-        .unwrap_or_else(|e| die(format!("cannot open artifact store: {e}")));
-    let report = store
-        .convert(format)
-        .unwrap_or_else(|e| die(format!("conversion of `{dir}` failed: {e}")));
-    println!("converted `{dir}` to {}: {report}", format.name());
-    if report.failed > 0 {
-        exit(1);
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else { usage() };
@@ -1064,7 +987,6 @@ fn main() {
         "check" => check_files(&argv[1..]),
         "fsck" => fsck(&argv[1..]),
         "gc" => gc(&argv[1..]),
-        "store" => store_command(&argv[1..]),
         "table" => {
             let Some(out) = argv.get(1) else {
                 eprintln!("hlp table: missing output path argument");
@@ -1089,7 +1011,7 @@ fn main() {
             // With --store, the precomputed entries also land in the
             // store's SA shard, so later --store runs start warm.
             if let Some(dir) = &o.store {
-                let store = open_store_or_die(dir, o.store_format, "artifact store");
+                let store = open_store_or_die(dir, "artifact store");
                 let stats = store.merge_sa_table(&table);
                 eprintln!("merged into store `{dir}`: {stats}");
             }
@@ -1107,7 +1029,7 @@ fn main() {
                 eprintln!("merge needs at least one source store");
                 usage();
             }
-            let dst_store = open_store_or_die(dst, StoreFormat::default(), "destination store");
+            let dst_store = open_store_or_die(dst, "destination store");
             let mut failed = false;
             for src in &argv[2..] {
                 // Sources are read-only inputs: a mistyped path must fail

@@ -10,8 +10,9 @@
 //!   made, verb by verb, including batch accounting;
 //! * a `store fsck` sweep over the wire surfaces in
 //!   `control fsck-status` and inside the `control stats` block;
-//! * a request with a zero-unit constraint gets an `error` reply, and a
-//!   one-worker daemon still answers the next job.
+//! * a request with a zero-unit constraint, zero simulated cycles, or
+//!   an op-less inline CDFG gets an `error` reply, and a one-worker
+//!   daemon still answers the next job.
 //!
 //! Admission control (park-with-`busy`, promotion after drain,
 //! zero-depth rejection) is covered in `remote_store.rs` alongside the
@@ -279,11 +280,23 @@ fn a_zero_unit_constraint_is_refused_and_the_only_worker_keeps_serving() {
         lines
     };
 
-    let refused = round_trip(&fast_request("pr").constraint(0, 0));
-    assert!(
-        refused.len() == 1 && refused[0].starts_with("error ") && refused[0].contains("constraint"),
-        "{refused:?}"
-    );
+    // Each of these would panic the worker inside the flow: a class
+    // with no units, an inline CDFG with no operations (zero schedule
+    // steps), and zero simulated cycles (the power model's divisor).
+    let opless = JobRequest::from_cdfg_text("cdfg t\ninput a\noutput a\n")
+        .width(4)
+        .cycles(10);
+    for (poison, names) in [
+        (fast_request("pr").constraint(0, 0), "constraint"),
+        (opless, "operations"),
+        (fast_request("wang").cycles(0), "cycle"),
+    ] {
+        let refused = round_trip(&poison);
+        assert!(
+            refused.len() == 1 && refused[0].starts_with("error ") && refused[0].contains(names),
+            "{refused:?}"
+        );
+    }
     // The one worker survived: the next job is answered in full.
     let answered = round_trip(&fast_request("wang"));
     assert_eq!(

@@ -72,27 +72,27 @@ fn tables_identical_for_one_and_many_jobs() {
 }
 
 #[test]
-fn word_engine_single_lane_fingerprint_matches_scalar_engine() {
-    // Every paper table runs at the default `--lanes 1` (word engine);
-    // its full deterministic fingerprint must equal the scalar reference
-    // engine's (`--lanes 0`) — the end-to-end form of the gatesim
-    // differential tests.
+fn single_lane_fingerprint_matches_scalar_engine() {
+    // Every paper table runs one vector stream at the default
+    // `--lanes 1`; its full deterministic fingerprint must equal the
+    // scalar reference engine's at `--lanes 0` (the one-lane slab engine
+    // is pinned against the scalar flow simulation in `slab_sim.rs`).
     let suite = suite(&["pr", "wang"]);
     let binders = [Binder::Lopass, Binder::HlPower { alpha: 0.5 }];
     let scalar_cfg = FlowConfig {
         lanes: 0,
         ..FlowConfig::fast()
     };
-    let word_cfg = FlowConfig {
+    let one_lane_cfg = FlowConfig {
         lanes: 1,
         ..FlowConfig::fast()
     };
     let scalar = Pipeline::new(scalar_cfg).run_matrix(&suite, &binders, 2);
-    let word = Pipeline::new(word_cfg).run_matrix(&suite, &binders, 2);
+    let one_lane = Pipeline::new(one_lane_cfg).run_matrix(&suite, &binders, 2);
     assert_eq!(
         fingerprint(&scalar),
-        fingerprint(&word),
-        "one word-parallel lane must replay the scalar engine byte for byte"
+        fingerprint(&one_lane),
+        "one lane must replay the scalar engine byte for byte"
     );
 }
 

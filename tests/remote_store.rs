@@ -19,6 +19,9 @@
 //!   watermarks short-circuit the re-audit;
 //! * a corrupt `put-sa` body is refused with a protocol-clean error
 //!   and never poisons the shared shard;
+//! * stores are binary-only: a text-encoded body sent with `store put`
+//!   or `store put-sa` is refused with a protocol-clean error and the
+//!   connection stays aligned;
 //! * fsck runs concurrently with a live put stream without tripping
 //!   on half-arrived state.
 
@@ -33,7 +36,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 fn temp_path(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -114,11 +117,11 @@ fn remote_backend_round_trips_artifacts_through_the_daemon() {
     // daemon audits them first, so the name must be a real fingerprint
     // and the body a valid artifact of its kind.
     let name = "feedc0defeedc0defeedc0defeedc0de";
-    let body = b"# hlpower sim v1\ncycles 100 total 640 functional 600 glitch 40 nodes 9\n";
+    let body: &[u8] = &VALID_SIM;
     assert!(!remote.raw_stat("sims", name));
     remote.raw_put("sims", name, body);
     assert!(remote.raw_stat("sims", name));
-    assert_eq!(remote.raw_get("sims", name).as_deref(), Some(body.as_ref()));
+    assert_eq!(remote.raw_get("sims", name).as_deref(), Some(body));
     let local = ArtifactStore::open(&store_dir).unwrap();
     assert_eq!(
         local.raw_get("sims", name).as_deref(),
@@ -517,11 +520,19 @@ fn remote_spec_without_a_daemon_fails_fast() {
 }
 
 /// A sim summary that passes the static audit under any fingerprint name.
-const VALID_SIM: &[u8] =
-    b"# hlpower sim v1\ncycles 100 total 640 functional 600 glitch 40 nodes 9\n";
+static VALID_SIM: LazyLock<Vec<u8>> = LazyLock::new(|| {
+    gatesim::SimStats {
+        cycles: 100,
+        total_transitions: 640,
+        functional_transitions: 600,
+        glitch_transitions: 40,
+        per_node: vec![0; 9],
+    }
+    .to_summary_bin()
+});
 
 /// The on-disk slot file for `name` under the daemon's store directory
-/// (extension is sniffed at put time, so locate by prefix).
+/// (located by prefix, so a test sees any stray twin too).
 fn slot_file(store_dir: &std::path::Path, kind: &str, name: &str) -> PathBuf {
     let dir = store_dir.join(kind);
     let mut hits: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -546,8 +557,8 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
     // Two valid sims over the wire (the daemon audits-on-put, so both land).
     let good = "feedc0defeedc0defeedc0defeedc0de";
     let victim = "0123456789abcdef0123456789abcdef";
-    remote.raw_put("sims", good, VALID_SIM);
-    remote.raw_put("sims", victim, VALID_SIM);
+    remote.raw_put("sims", good, &VALID_SIM);
+    remote.raw_put("sims", victim, &VALID_SIM);
 
     // Cold fsck: the daemon audits its own slots; this side only ever
     // sees counters and verdicts.
@@ -585,7 +596,7 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
         "the defect description survives wire escaping"
     );
     assert_eq!(repaired.quarantined, 1);
-    let bad = store_dir.join("sims").join(format!("{victim}.txt.bad"));
+    let bad = store_dir.join("sims").join(format!("{victim}.bin.bad"));
     assert!(bad.exists(), "quarantine lands in the daemon's store dir");
     assert!(
         !remote.raw_stat("sims", victim),
@@ -617,7 +628,7 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
     // `store audit` on the same connection: vet bytes without storing.
     let probe = format!("store audit sims {victim} {}\n", VALID_SIM.len());
     writer.write_all(probe.as_bytes()).unwrap();
-    writer.write_all(VALID_SIM).unwrap();
+    writer.write_all(&VALID_SIM).unwrap();
     writer.flush().unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();
@@ -711,6 +722,69 @@ fn corrupt_put_sa_is_refused_without_poisoning_the_shard() {
 }
 
 #[test]
+fn text_bodies_are_refused_protocol_clean_on_put_and_put_sa() {
+    let store_dir = temp_path("text-store");
+    let socket = temp_path("text-sock");
+    let daemon = Daemon::start(&socket, &store_dir, ServeOptions::default());
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut writer = &stream;
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    let mut exchange = |header: String, body: &[u8]| -> String {
+        writer.write_all(header.as_bytes()).unwrap();
+        writer.write_all(body).unwrap();
+        writer.flush().unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        line.trim_end().to_string()
+    };
+
+    // A well-formed sim summary in the retired text encoding.
+    let fp = "00112233445566778899aabbccddeeff";
+    let text_sim = b"# hlpower sim v1\ncycles 100 total 640 functional 600 glitch 40 nodes 9\n";
+    let reply = exchange(
+        format!("store put sims {fp} {}\n", text_sim.len()),
+        text_sim,
+    );
+    assert!(
+        reply.starts_with("error ") && reply.contains("rejected"),
+        "got `{reply}`"
+    );
+    // A well-formed SA table in its text encoding (the `--sa-table`
+    // file format, which is not a store encoding).
+    let mut table = SaTable::new(4, 4);
+    table.insert(cdfg::FuType::AddSub, 1, 1, 2.0);
+    let text_table = table.to_text();
+    let reply = exchange(
+        format!("store put-sa {}\n", text_table.len()),
+        text_table.as_bytes(),
+    );
+    assert!(
+        reply.starts_with("error ") && reply.contains("unparseable"),
+        "got `{reply}`"
+    );
+    // The connection is still aligned: the binary forms go through on
+    // the same stream, and nothing from the text bodies was stored.
+    let reply = exchange(
+        format!("store put sims {fp} {}\n", VALID_SIM.len()),
+        &VALID_SIM,
+    );
+    assert_eq!(reply, "ok");
+    let body = table.to_bin();
+    let reply = exchange(format!("store put-sa {}\n", body.len()), &body);
+    assert_eq!(reply, "ok 1 0 0");
+    let remote = ArtifactStore::connect(&daemon.endpoint).unwrap();
+    let sims = remote.raw_list("sims").unwrap();
+    assert_eq!(sims, vec![fp.to_string()]);
+    assert_eq!(
+        remote.raw_get("sims", fp).unwrap().to_vec(),
+        *VALID_SIM,
+        "the slot holds the binary body"
+    );
+    daemon.stop();
+}
+
+#[test]
 fn fsck_runs_concurrently_with_a_live_put_stream() {
     let store_dir = temp_path("live-store");
     let socket = temp_path("live-sock");
@@ -727,7 +801,7 @@ fn fsck_runs_concurrently_with_a_live_put_stream() {
             let remote = ArtifactStore::connect(&endpoint).unwrap();
             for i in 0..PUTS {
                 let name = format!("{:032x}", 0xabc0_de00_u64 + i);
-                remote.raw_put("sims", &name, VALID_SIM);
+                remote.raw_put("sims", &name, &VALID_SIM);
             }
         })
     };

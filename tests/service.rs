@@ -8,7 +8,9 @@
 //!   to every later warm reply;
 //! * a remote report equals a local store-backed report;
 //! * daemon-side failures come back as error replies, not hangs;
-//! * the CLI refuses a zero-unit constraint with a diagnostic.
+//! * the CLI refuses requests the flow cannot run — a zero-unit
+//!   constraint, zero simulated cycles, a CDFG with no operations — with
+//!   a diagnostic and exit code 1.
 
 use hlpower::api::{request, Endpoint, JobReport, JobRequest, Server, Service};
 use hlpower::{ArtifactStore, Binder, FlowConfig, Pipeline};
@@ -145,21 +147,44 @@ fn daemon_serves_concurrent_clients_deterministically() {
 
 #[test]
 fn cli_refuses_a_zero_unit_constraint_with_a_diagnostic() {
-    for (adders, mults) in [("1", "0"), ("0", "0")] {
+    // A CDFG with no operations parses and checks, but schedules to zero
+    // control steps.
+    let opless = temp_path("opless.cdfg");
+    std::fs::write(&opless, "cdfg t\ninput a\noutput a\n").unwrap();
+    let bench_pr = ["bench", "pr", "--width", "4", "--cycles", "10"];
+    let cases: [(Vec<&str>, &str); 4] = [
+        (
+            [&bench_pr[..], &["--adders", "1", "--mults", "0"]].concat(),
+            "constraint 1/0",
+        ),
+        (
+            [&bench_pr[..], &["--adders", "0", "--mults", "0"]].concat(),
+            "constraint 0/0",
+        ),
+        (
+            vec!["bench", "wang", "--width", "4", "--cycles", "0"],
+            "cycle count 0",
+        ),
+        (
+            vec!["run", opless.to_str().unwrap(), "--width", "4"],
+            "no operations",
+        ),
+    ];
+    for (args, diagnostic) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_hlp"))
-            .args(["bench", "pr", "--width", "4", "--cycles", "10"])
-            .args(["--adders", adders, "--mults", mults])
+            .args(&args)
             .output()
             .expect("spawn hlp");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
             Some(1),
-            "--adders {adders} --mults {mults} is a runtime error, not a panic:\n{stderr}"
+            "hlp {args:?} is a runtime error, not a panic:\n{stderr}"
         );
         assert!(
-            stderr.contains(&format!("constraint {adders}/{mults}")),
-            "the diagnostic names the constraint:\n{stderr}"
+            stderr.contains(diagnostic),
+            "the diagnostic names the problem:\n{stderr}"
         );
     }
+    let _ = std::fs::remove_file(&opless);
 }

@@ -2,13 +2,15 @@
 //!
 //! * on a **mapped** array multiplier (the glitch benchmark the paper's
 //!   estimates hinge on), a 256-lane slab run is exactly the lane
-//!   decomposition of four 64-lane word-engine runs;
+//!   decomposition of four 64-lane one-word (`SlabSim<1>`) runs;
 //! * a single slab lane replays the scalar `CycleSim` reference stream
-//!   byte for byte;
+//!   byte for byte, on a mapped multiplier and through the flow's
+//!   datapath simulation on every suite benchmark;
 //! * the `hlp` CLI rejects `--lanes` above the slab maximum at parse
 //!   time with exit code 2 and a diagnostic naming the flag and value.
 
-use gatesim::{run_random, run_random_slab, WordSim, WordVectorSource, MAX_LANES};
+use gatesim::{lane_seed, run_random, run_random_slab, SimStats, SlabSim, VectorSource};
+use hlpower::{flow, paper_constraint, Binder, FlowConfig};
 use mapper::{map, MapConfig, MapObjective};
 use netlist::{cells, Netlist, NodeId};
 
@@ -23,26 +25,41 @@ fn mapped_multiplier(w: usize) -> Netlist {
     map(&nl, &MapConfig::new(4, MapObjective::GlitchSa)).netlist
 }
 
+/// A 64-lane one-word slab run whose lane `L` is seeded as global lane
+/// `offset + L` — one word of a wider slab run.
+fn word_subrun(nl: &Netlist, steps: u64, seed: u64, offset: usize) -> SimStats {
+    let mut sim = SlabSim::<1>::new(nl, 64);
+    let mut sources: Vec<VectorSource> = (0..64)
+        .map(|l| VectorSource::new(lane_seed(seed, offset + l)))
+        .collect();
+    let mut bits = vec![false; nl.inputs().len()];
+    let mut words = vec![0u64; nl.inputs().len()];
+    for _ in 0..steps {
+        words.fill(0);
+        for (l, src) in sources.iter_mut().enumerate() {
+            src.fill(&mut bits);
+            for (w, &b) in words.iter_mut().zip(&bits) {
+                *w |= (b as u64) << l;
+            }
+        }
+        sim.step(&words);
+    }
+    sim.stats().clone()
+}
+
 #[test]
 fn mapped_multiplier_slab_decomposes_into_word_subruns() {
     let mapped = mapped_multiplier(8);
     let seed = 42;
     let steps = 200;
-    let lanes = 4 * MAX_LANES;
+    let lanes = 4 * 64;
     let slab = run_random_slab(&mapped, steps, seed, lanes);
 
     let mut total = 0u64;
     let mut functional = 0u64;
     let mut per_node = vec![0u64; mapped.num_nodes()];
-    for j in 0..lanes / MAX_LANES {
-        let mut sim = WordSim::new(&mapped, MAX_LANES);
-        let mut src = WordVectorSource::with_lane_offset(seed, MAX_LANES, MAX_LANES * j);
-        let mut words = vec![0u64; mapped.inputs().len()];
-        for _ in 0..steps {
-            src.fill_words(&mut words);
-            sim.step(&words);
-        }
-        let s = sim.stats();
+    for j in 0..lanes / 64 {
+        let s = word_subrun(&mapped, steps, seed, 64 * j);
         total += s.total_transitions;
         functional += s.functional_transitions;
         for (acc, x) in per_node.iter_mut().zip(&s.per_node) {
@@ -71,6 +88,37 @@ fn single_slab_lane_replays_scalar_reference() {
     assert_eq!(slab.total_transitions, scalar.total_transitions);
     assert_eq!(slab.functional_transitions, scalar.functional_transitions);
     assert_eq!(slab.per_node, scalar.per_node);
+}
+
+#[test]
+fn one_lane_slab_flow_matches_scalar_flow_on_every_suite_datapath() {
+    // `--lanes 1` runs the scalar engine, so the flow never runs a
+    // one-lane slab: pin that equivalence here. On every suite
+    // benchmark's mapped datapath, under both binders the tables
+    // compare, one slab lane must reproduce the scalar flow simulation
+    // (data-pin noise and control program included) node by node.
+    let cfg = FlowConfig::fast();
+    for p in &cdfg::PROFILES {
+        let g = cdfg::generate(p, p.seed);
+        let rc = paper_constraint(p.name).unwrap();
+        let (sched, rb) = flow::prepare(&g, &rc, &cfg);
+        for binder in [Binder::Lopass, Binder::HlPower { alpha: 0.5 }] {
+            let mut table = flow::sa_table_for(&cfg, binder);
+            let outcome = flow::bind(&g, &sched, &rb, &rc, binder, &mut table);
+            let (dp, mapped) = flow::elaborate_map(&g, &sched, &rb, &outcome.fb, &cfg);
+            let scalar = flow::simulate_scalar(&dp, &mapped.netlist, &cfg);
+            let slab = flow::simulate_slab(&dp, &mapped.netlist, &cfg, 1);
+            let what = format!("{} / {}", p.name, binder.spec());
+            assert_eq!(slab.cycles, scalar.cycles, "{what}");
+            assert_eq!(slab.total_transitions, scalar.total_transitions, "{what}");
+            assert_eq!(
+                slab.functional_transitions, scalar.functional_transitions,
+                "{what}"
+            );
+            assert_eq!(slab.glitch_transitions, scalar.glitch_transitions, "{what}");
+            assert_eq!(slab.per_node, scalar.per_node, "{what}: per-node counts");
+        }
+    }
 }
 
 #[test]
