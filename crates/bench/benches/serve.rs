@@ -62,8 +62,8 @@ fn main() {
         .collect();
     let jobs = reqs.len();
 
-    // Warm the store (and the scheduler's cost model) once; everything
-    // timed below is answered from artifacts.
+    // Warm the store once; everything timed below is answered from
+    // artifacts.
     for rep in api::request_batch(&endpoint, &reqs).expect("warm-up batch") {
         rep.expect("warm-up job succeeds");
     }

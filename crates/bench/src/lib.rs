@@ -15,7 +15,8 @@
 
 use cdfg::{Cdfg, ResourceConstraint};
 use hlpower::api::{JobRequest, Service};
-use hlpower::{paper_constraint, ArtifactStore, Binder, FlowConfig, FlowResult, Pipeline, Shard};
+use hlpower::{paper_constraint, ArtifactStore, Binder, FlowConfig, FlowResult, Pipeline};
+use std::fmt;
 use std::sync::Arc;
 
 /// Default simulation lane count of the experiment binaries. The
@@ -23,6 +24,63 @@ use std::sync::Arc;
 /// binaries simulate at full width unless `--paper-exact` restores the
 /// paper's single-stream tables.
 pub const DEFAULT_LANES: usize = 64;
+
+/// One worker's slice of the benchmark × binder request matrix
+/// (`--shard i/N`): shard `index` of `total` owns the jobs whose global
+/// index is congruent to `index` modulo `total`. The job order is the
+/// deterministic row-major `(benchmark, binder)` enumeration of
+/// [`Args::requests`], so the partition is identical on every host.
+///
+/// # Examples
+///
+/// ```
+/// use hlpower_bench::Shard;
+/// let s = Shard::parse("1/4").unwrap();
+/// assert!(!s.owns(0) && s.owns(1) && !s.owns(2));
+/// assert!(Shard::parse("4/4").is_none(), "index must be < total");
+/// assert_eq!(Shard::full(), Shard::parse("0/1").unwrap());
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Shard {
+    /// This worker's index, `0 <= index < total`.
+    pub index: usize,
+    /// Total number of workers.
+    pub total: usize,
+}
+
+impl Shard {
+    /// The trivial shard owning every job.
+    pub fn full() -> Shard {
+        Shard { index: 0, total: 1 }
+    }
+
+    /// Parses the CLI form `i/N`. Returns `None` unless `i < N` and
+    /// `N >= 1`.
+    pub fn parse(s: &str) -> Option<Shard> {
+        let (i, n) = s.split_once('/')?;
+        let shard = Shard {
+            index: i.parse().ok()?,
+            total: n.parse().ok()?,
+        };
+        (shard.index < shard.total).then_some(shard)
+    }
+
+    /// Whether this shard owns global job index `job`.
+    pub fn owns(&self, job: usize) -> bool {
+        job % self.total == self.index
+    }
+
+    /// Whether this is the trivial full shard.
+    pub fn is_full(&self) -> bool {
+        self.total == 1
+    }
+}
+
+impl fmt::Display for Shard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.index, self.total)
+    }
+}
 
 /// Command-line options shared by the experiment binaries.
 ///
@@ -552,6 +610,48 @@ mod tests {
             Binder::HlPowerZeroDelay { alpha: 1.0 },
         ] {
             assert_eq!(Binder::parse(&b.spec()), Some(b));
+        }
+    }
+
+    #[test]
+    fn shard_parse_accepts_only_well_formed_slices() {
+        // The good cases.
+        assert_eq!(Shard::parse("0/1"), Some(Shard { index: 0, total: 1 }));
+        assert_eq!(Shard::parse("3/8"), Some(Shard { index: 3, total: 8 }));
+        assert!(Shard::parse("0/1").unwrap().is_full());
+        assert!(!Shard::parse("0/2").unwrap().is_full());
+        // Degenerate totals: no shard can own anything out of 0 workers.
+        assert_eq!(Shard::parse("0/0"), None);
+        assert_eq!(Shard::parse("1/0"), None);
+        // Index out of range (i >= N).
+        assert_eq!(Shard::parse("1/1"), None);
+        assert_eq!(Shard::parse("4/4"), None);
+        assert_eq!(Shard::parse("9/4"), None);
+        // Garbage shapes.
+        for bad in [
+            "", "/", "1", "1/", "/2", "a/b", "1/b", "a/2", "1/2/3", "-1/2", "1/-2", "1.0/2",
+            "0x1/2",
+        ] {
+            assert_eq!(Shard::parse(bad), None, "`{bad}` must not parse");
+        }
+        // Whitespace is not trimmed anywhere: a padded spec is rejected
+        // rather than silently accepted with surprising semantics.
+        for bad in [" 0/1", "0/1 ", "0 /1", "0/ 1", "0\t/1", "0/1\n"] {
+            assert_eq!(Shard::parse(bad), None, "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn shard_partition_is_exact_and_total() {
+        // Every job index is owned by exactly one of the N shards.
+        for total in 1..=5usize {
+            let shards: Vec<Shard> = (0..total)
+                .map(|i| Shard::parse(&format!("{i}/{total}")).unwrap())
+                .collect();
+            for job in 0..37 {
+                let owners = shards.iter().filter(|s| s.owns(job)).count();
+                assert_eq!(owners, 1, "job {job} of {total} shards");
+            }
         }
     }
 

@@ -20,9 +20,10 @@
 //! this protocol; the server half lives in [`crate::api::server`].
 //!
 //! A daemon at capacity parks new connections and answers them with one
-//! informational `busy ...` line before the real reply arrives — every
-//! reader here (and the `RemoteStore` client) skips `busy` lines, so
-//! backpressure is invisible to callers beyond added latency.
+//! informational `busy ...` line before the real reply arrives — the one
+//! reply-line reader here, which the `RemoteStore` client shares, skips
+//! `busy` lines, so backpressure is invisible to callers beyond added
+//! latency.
 
 use crate::api::service::ServiceError;
 use crate::flow::{Binder, FlowConfig, FlowResult};
@@ -112,11 +113,16 @@ pub fn unescape(s: &str) -> Result<String, String> {
 /// requests for the paper suite are a few kilobytes.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
-/// Default cap on jobs per `batch N` frame. A batch beyond the daemon's
-/// cap is refused with a protocol-clean `error` line (and the
-/// connection closed, since the daemon will not read the declared job
-/// lines of a frame it refused).
+/// Cap on jobs per `batch N` frame. A larger batch is refused with a
+/// protocol-clean `error` line (and the connection closed, since the
+/// daemon will not read the declared job lines of a frame it refused).
 pub const MAX_BATCH_JOBS: usize = 1024;
+
+/// How every daemon refusal of a whole `batch N` frame begins: an empty
+/// frame, one beyond [`MAX_BATCH_JOBS`], a malformed header, or a frame
+/// shed under backlog. No per-job error starts with it, so
+/// [`request_batch`] tells a refused frame from a first job that failed.
+pub const BATCH_REFUSED: &str = "batch frame refused: ";
 
 // ---- JobRequest ------------------------------------------------------------
 
@@ -984,84 +990,127 @@ impl From<io::Error> for RequestError {
     }
 }
 
-/// One dialed client connection, unifying the two stream kinds behind
-/// `Read + Write` so every client function shares one exchange path.
-enum ClientConn {
+/// One socket between a client and a daemon, TCP or unix-domain, behind
+/// `Read + Write`: the client calls here and
+/// [`RemoteStore`](crate::store::RemoteStore) dial one, and the
+/// daemon's event loop accepts them.
+#[derive(Debug)]
+pub(crate) enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
 }
 
-impl ClientConn {
-    fn dial(endpoint: &Endpoint) -> Result<ClientConn, RequestError> {
+impl Stream {
+    /// Connects to the daemon at `endpoint`.
+    pub(crate) fn dial(endpoint: &Endpoint) -> io::Result<Stream> {
         match endpoint {
-            Endpoint::Tcp(addr) => Ok(ClientConn::Tcp(TcpStream::connect(addr)?)),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
             #[cfg(unix)]
-            Endpoint::Unix(path) => Ok(ClientConn::Unix(UnixStream::connect(path)?)),
+            Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
             #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err(RequestError::Io(io::Error::new(
+            Endpoint::Unix(_) => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "unix-domain sockets are not available on this host",
-            ))),
+            )),
+        }
+    }
+
+    /// Puts the socket in nonblocking mode, as the daemon's event loop
+    /// needs.
+    pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(true),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_nonblocking(true),
+        }
+    }
+
+    /// The descriptor the daemon's event loop polls (0 off unix, where
+    /// the loop ticks instead of polling).
+    pub(crate) fn raw_fd(&self) -> i32 {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            match self {
+                Stream::Tcp(s) => s.as_raw_fd(),
+                Stream::Unix(s) => s.as_raw_fd(),
+            }
+        }
+        #[cfg(not(unix))]
+        {
+            0
         }
     }
 }
 
-impl Read for ClientConn {
+impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            ClientConn::Tcp(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
             #[cfg(unix)]
-            ClientConn::Unix(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
         }
     }
 }
 
-impl Write for ClientConn {
+impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            ClientConn::Tcp(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
             #[cfg(unix)]
-            ClientConn::Unix(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
         match self {
-            ClientConn::Tcp(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
             #[cfg(unix)]
-            ClientConn::Unix(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
         }
     }
 }
 
-/// Reads one reply block: `busy` lines are informational backpressure
-/// ticks and are skipped, a leading `error` line becomes
-/// [`RequestError::Remote`], anything else accumulates until the `end`
-/// terminator. Returns the full block text including `end\n`.
-fn read_reply_block<R: BufRead>(reader: &mut R) -> Result<String, RequestError> {
-    let mut text = String::new();
+/// Reads the next reply line, terminator trimmed — the one reply reader
+/// of every client (the calls here and
+/// [`RemoteStore`](crate::store::RemoteStore)). `busy` lines are
+/// informational backpressure ticks (a parked connection hears one
+/// before its real reply) and are skipped; an `error MSG` line becomes
+/// [`RequestError::Remote`] with MSG unescaped; end of stream is an
+/// `UnexpectedEof` [`RequestError::Io`].
+pub(crate) fn read_reply_line<R: BufRead>(reader: &mut R) -> Result<String, RequestError> {
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
-            return Err(RequestError::Protocol(
-                "connection closed before `end`".to_string(),
+            return Err(RequestError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "daemon closed the connection mid-reply",
+            )));
+        }
+        let line = line.trim_end_matches(['\n', '\r']);
+        if line == "busy" || line.starts_with("busy ") {
+            continue;
+        }
+        if let Some(msg) = line.strip_prefix("error ") {
+            return Err(RequestError::Remote(
+                unescape(msg).unwrap_or_else(|_| msg.to_string()),
             ));
         }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if text.is_empty() {
-            if trimmed.starts_with("busy ") || trimmed == "busy" {
-                continue;
-            }
-            if let Some(msg) = trimmed.strip_prefix("error ") {
-                return Err(RequestError::Remote(
-                    unescape(msg).unwrap_or_else(|_| msg.to_string()),
-                ));
-            }
-        }
-        text.push_str(trimmed);
+        return Ok(line.to_string());
+    }
+}
+
+/// Reads one `end`-terminated reply block (see [`read_reply_line`] for
+/// `busy` and `error` lines). Returns the full block text including
+/// `end\n`.
+fn read_reply_block<R: BufRead>(reader: &mut R) -> Result<String, RequestError> {
+    let mut text = String::new();
+    loop {
+        let line = read_reply_line(reader)?;
+        text.push_str(&line);
         text.push('\n');
-        if trimmed == "end" {
+        if line == "end" {
             return Ok(text);
         }
     }
@@ -1074,7 +1123,7 @@ fn read_reply_block<R: BufRead>(reader: &mut R) -> Result<String, RequestError> 
 ///
 /// Connection failures, daemon-side rejections, and malformed replies.
 pub fn request(endpoint: &Endpoint, req: &JobRequest) -> Result<JobReport, RequestError> {
-    let mut conn = ClientConn::dial(endpoint)?;
+    let mut conn = Stream::dial(endpoint)?;
     conn.write_all(req.to_line().as_bytes())?;
     conn.write_all(b"\n")?;
     conn.flush()?;
@@ -1095,13 +1144,14 @@ pub fn request(endpoint: &Endpoint, req: &JobRequest) -> Result<JobReport, Reque
 ///
 /// # Errors
 ///
-/// Connection failures, a daemon-side refusal of the frame itself
-/// (e.g. a batch beyond the daemon's cap), and malformed replies.
+/// Connection failures, a daemon-side refusal of the frame itself (an
+/// empty frame, or one beyond [`MAX_BATCH_JOBS`]; its message starts
+/// with [`BATCH_REFUSED`]), and malformed replies.
 pub fn request_batch(
     endpoint: &Endpoint,
     reqs: &[JobRequest],
 ) -> Result<Vec<Result<JobReport, RequestError>>, RequestError> {
-    let mut conn = ClientConn::dial(endpoint)?;
+    let mut conn = Stream::dial(endpoint)?;
     let mut frame = format!("batch {}\n", reqs.len());
     for req in reqs {
         frame.push_str(&req.to_line());
@@ -1111,12 +1161,13 @@ pub fn request_batch(
     conn.flush()?;
     let mut reader = BufReader::new(conn);
     let mut replies = Vec::with_capacity(reqs.len());
-    for _ in reqs {
+    // An empty frame has no job replies, but its refusal is still owed.
+    for _ in 0..reqs.len().max(1) {
         match read_reply_block(&mut reader) {
             Ok(text) => replies.push(JobReport::from_text(&text).map_err(RequestError::Protocol)),
-            Err(RequestError::Remote(msg)) if replies.is_empty() && msg.contains("batch") => {
-                // The daemon refused the frame itself (oversize/empty):
-                // there are no per-job replies to read.
+            Err(RequestError::Remote(msg)) if msg.starts_with(BATCH_REFUSED) => {
+                // The daemon refused the frame itself: there are no
+                // per-job replies to read.
                 return Err(RequestError::Remote(msg));
             }
             Err(RequestError::Remote(msg)) => replies.push(Err(RequestError::Remote(msg))),
@@ -1128,7 +1179,7 @@ pub fn request_batch(
 
 /// One `control VERB` exchange returning the raw reply block text.
 fn control_exchange(endpoint: &Endpoint, verb: &str) -> Result<String, RequestError> {
-    let mut conn = ClientConn::dial(endpoint)?;
+    let mut conn = Stream::dial(endpoint)?;
     conn.write_all(format!("control {verb}\n").as_bytes())?;
     conn.flush()?;
     read_reply_block(&mut BufReader::new(conn))
@@ -1162,32 +1213,16 @@ pub fn fetch_fsck_status(endpoint: &Endpoint) -> Result<FsckStatus, RequestError
 /// Connection failures (no daemon at the address), daemon-side
 /// refusals, and malformed replies.
 pub fn stop_daemon(endpoint: &Endpoint) -> Result<(), RequestError> {
-    let mut conn = ClientConn::dial(endpoint)?;
+    let mut conn = Stream::dial(endpoint)?;
     conn.write_all(b"control stop\n")?;
     conn.flush()?;
-    let mut reader = BufReader::new(conn);
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(RequestError::Protocol(
-                "connection closed before the stop reply".to_string(),
-            ));
-        }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed.starts_with("busy ") || trimmed == "busy" {
-            continue;
-        }
-        return if trimmed.starts_with("ok") {
-            Ok(())
-        } else if let Some(msg) = trimmed.strip_prefix("error ") {
-            Err(RequestError::Remote(
-                unescape(msg).unwrap_or_else(|_| msg.to_string()),
-            ))
-        } else {
-            Err(RequestError::Protocol(format!(
-                "unexpected stop reply `{trimmed}`"
-            )))
-        };
+    let line = read_reply_line(&mut BufReader::new(conn))?;
+    if line.starts_with("ok") {
+        Ok(())
+    } else {
+        Err(RequestError::Protocol(format!(
+            "unexpected stop reply `{line}`"
+        )))
     }
 }
 

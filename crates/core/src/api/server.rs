@@ -34,14 +34,14 @@
 //! against unclean kills, every [`ServeOptions::flush_every`] interval.
 
 use crate::api::proto::{
-    escape, Endpoint, FsckStatus, JobRequest, JobSource, StatsSnapshot, LATENCY_BUCKETS_US,
-    MAX_BATCH_JOBS, MAX_REQUEST_LINE,
+    escape, Endpoint, FsckStatus, JobRequest, JobSource, StatsSnapshot, Stream, BATCH_REFUSED,
+    LATENCY_BUCKETS_US, MAX_BATCH_JOBS, MAX_REQUEST_LINE,
 };
 use crate::api::service::Service;
 use crate::store::ArtifactStore;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -62,9 +62,6 @@ pub struct ServeOptions {
     /// Worker threads executing jobs and store verbs. `0` picks a
     /// default from the host's parallelism (capped at 16).
     pub workers: usize,
-    /// Largest `batch N` frame accepted (hard-capped at
-    /// [`MAX_BATCH_JOBS`]); larger frames are refused protocol-clean.
-    pub max_batch: usize,
     /// Flush dirty SA shards to the store this often even without a
     /// graceful stop, so a killed daemon loses at most one interval of
     /// simulated-mode training. `None` disables the periodic flush
@@ -87,7 +84,6 @@ impl Default for ServeOptions {
             max_clients: 64,
             queue_depth: 256,
             workers: 0,
-            max_batch: MAX_BATCH_JOBS,
             flush_every: Some(Duration::from_secs(30)),
             log: false,
             handle_signals: false,
@@ -263,58 +259,11 @@ impl ListenerKind {
         }
     }
 
-    fn accept(&self) -> io::Result<StreamKind> {
+    fn accept(&self) -> io::Result<Stream> {
         match self {
-            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| StreamKind::Tcp(s)),
+            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
             #[cfg(unix)]
-            ListenerKind::Unix(l) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
-        }
-    }
-}
-
-enum StreamKind {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl StreamKind {
-    fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
-            StreamKind::Tcp(s) => s.set_nonblocking(true),
-            #[cfg(unix)]
-            StreamKind::Unix(s) => s.set_nonblocking(true),
-        }
-    }
-
-    fn raw_fd(&self) -> i32 {
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            match self {
-                StreamKind::Tcp(s) => s.as_raw_fd(),
-                StreamKind::Unix(s) => s.as_raw_fd(),
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            0
-        }
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            StreamKind::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            StreamKind::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            StreamKind::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            StreamKind::Unix(s) => s.write(buf),
+            ListenerKind::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
     }
 }
@@ -474,10 +423,7 @@ fn run_task(sh: &WorkerShared<'_>, task: Task) {
         }
         Task::BatchJob { batch, index, req } => {
             let (text, is_err) = match sh.service.execute_unflushed(&req) {
-                Ok(report) => {
-                    sh.service.observe_cost(&req, &report);
-                    (report.to_text(), false)
-                }
+                Ok(report) => (report.to_text(), false),
                 Err(e) => (format!("error {}\n", escape(&e.to_string())), true),
             };
             let _ = batch.slots[index].set((text, is_err));
@@ -800,7 +746,7 @@ enum Pending {
 }
 
 struct Conn {
-    stream: StreamKind,
+    stream: Stream,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     wpos: usize,
@@ -822,7 +768,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: StreamKind, admitted: bool) -> Conn {
+    fn new(stream: Stream, admitted: bool) -> Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
@@ -1308,7 +1254,7 @@ impl EventLoop<'_, '_> {
         }
     }
 
-    fn admit(&mut self, stream: StreamKind) {
+    fn admit(&mut self, stream: Stream) {
         let _ = stream.set_nonblocking();
         let id = self.next_id;
         self.next_id += 1;
@@ -1622,18 +1568,19 @@ impl EventLoop<'_, '_> {
             }
             "batch" => {
                 let arg = line.split_whitespace().nth(1).unwrap_or("");
-                let cap = self.opts.max_batch.min(MAX_BATCH_JOBS);
                 match arg.parse::<usize>() {
                     Ok(0) => {
-                        let msg = "empty batch frame (batch N needs N >= 1)";
-                        self.reply_error(id, VERB_BATCH, started, bytes_in, msg, false);
+                        let msg = format!("{BATCH_REFUSED}empty frame (batch N needs N >= 1)");
+                        self.reply_error(id, VERB_BATCH, started, bytes_in, &msg, false);
                         self.log(id, "empty batch frame refused", started);
                     }
-                    Ok(n) if n > cap => {
+                    Ok(n) if n > MAX_BATCH_JOBS => {
                         // The declared job lines are NOT read: a refused
                         // frame this large is not worth draining, so the
                         // connection closes after the error instead.
-                        let msg = format!("batch of {n} jobs exceeds the daemon cap ({cap})");
+                        let msg = format!(
+                            "{BATCH_REFUSED}{n} jobs exceed the daemon cap ({MAX_BATCH_JOBS})"
+                        );
                         self.reply_error(id, VERB_BATCH, started, bytes_in, &msg, true);
                         self.log(id, "oversize batch frame refused", started);
                     }
@@ -1648,7 +1595,8 @@ impl EventLoop<'_, '_> {
                         }
                     }
                     Err(_) => {
-                        let msg = format!("invalid batch header `{line}` (expected `batch N`)");
+                        let msg =
+                            format!("{BATCH_REFUSED}invalid header `{line}` (expected `batch N`)");
                         self.reply_error(id, VERB_BATCH, started, bytes_in, &msg, true);
                         self.log(id, "malformed batch header refused", started);
                     }
@@ -1670,7 +1618,8 @@ impl EventLoop<'_, '_> {
     }
 
     /// All N lines of a `batch N` frame are in hand: parse them, shed
-    /// or schedule, and fan the jobs out longest-first.
+    /// the frame or queue its runnable jobs in frame order (the worker
+    /// queue is FIFO, so jobs start in the order the client sent them).
     fn finish_batch_frame(
         &mut self,
         id: u64,
@@ -1680,8 +1629,8 @@ impl EventLoop<'_, '_> {
     ) {
         if self.inflight[VERB_BATCH] >= self.shed_cap {
             self.stats.shed += 1;
-            let msg = "daemon overloaded (batch backlog); retry shortly";
-            self.reply_error(id, VERB_BATCH, started, bytes_in, msg, false);
+            let msg = format!("{BATCH_REFUSED}daemon overloaded (batch backlog); retry shortly");
+            self.reply_error(id, VERB_BATCH, started, bytes_in, &msg, false);
             self.log(id, "batch frame shed: backlog full", started);
             return;
         }
@@ -1726,17 +1675,12 @@ impl EventLoop<'_, '_> {
             slots,
             remaining: AtomicUsize::new(runnable.len()),
         });
-        // Longest-job-first across the worker pool: the queue is FIFO,
-        // so push order is start order.
-        let reqs: Vec<JobRequest> = runnable.iter().map(|(_, r)| r.clone()).collect();
-        let order = self.sh.service.schedule(&reqs);
         self.inflight[VERB_BATCH] += 1;
-        for oi in order {
-            let (index, req) = &runnable[oi];
+        for (index, req) in runnable {
             self.sh.push_task(Task::BatchJob {
                 batch: batch.clone(),
-                index: *index,
-                req: req.clone(),
+                index,
+                req,
             });
         }
         self.sh.cv.notify_all();

@@ -1,28 +1,20 @@
-//! The request-execution facade and the batch cost-model scheduler.
+//! The request-execution facade.
 //!
 //! [`Service`] owns one optional hot [`ArtifactStore`] and a
 //! [`Pipeline`] per distinct flow configuration; it is what the `hlp`
 //! CLI, the experiment binaries' shared `Args` layer, and the daemon
-//! all drive. All entry points are `&self` and thread-safe.
-//!
-//! Batches are **bin-packed, not round-robined**: every completed job
-//! deposits a deterministic cost measurement (derived from its
-//! [`PipelineStats`] delta and SA-query count — never wall clock, so
-//! scheduling decisions are reproducible) into a per-job-key cost
-//! model, and [`Service::schedule`] orders a request list
-//! longest-job-first for the worker pool. Jobs with no recorded cost
-//! sort first — an unknown job might be the batch's longest, and
-//! starting it late is the classic makespan mistake.
+//! all drive. All entry points are `&self` and thread-safe. Request
+//! lists run in request order ([`Service::execute_all`]); so do the
+//! jobs of a daemon `batch N` frame.
 
 use crate::api::proto::{JobReport, JobRequest};
 use crate::fingerprint::{Fingerprint, Hasher128};
 use crate::flow::FlowConfig;
-use crate::pipeline::{Pipeline, PipelineStats, StageCounts};
+use crate::pipeline::{fan_out, Pipeline, PipelineStats, StageCounts};
 use crate::store::ArtifactStore;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Why a request could not be executed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,19 +89,13 @@ fn config_fingerprint(cfg: &FlowConfig) -> Fingerprint {
 /// The request-execution facade: one optional hot [`ArtifactStore`]
 /// shared by a [`Pipeline`] per distinct flow configuration. All entry
 /// points are `&self` and thread-safe — a daemon serves many concurrent
-/// clients from one `Service`, and [`Service::execute_all`] /
-/// [`Service::execute_batch`] fan request lists over worker threads
-/// with deterministic result order.
+/// clients from one `Service`, and [`Service::execute_all`] fans request
+/// lists over worker threads with deterministic result order.
 #[derive(Debug, Default)]
 pub struct Service {
     template: FlowConfig,
     store: Option<Arc<ArtifactStore>>,
     pipelines: Mutex<HashMap<Fingerprint, Arc<Pipeline>>>,
-    /// Measured per-job cost, keyed by [`Service::job_cost_key`]. The
-    /// latest measurement wins — costs are deterministic in the job, so
-    /// repeats agree except for warm/cold transitions, where the newer
-    /// (warm) value is the better predictor.
-    costs: Mutex<HashMap<Fingerprint, u64>>,
 }
 
 impl Service {
@@ -189,157 +175,26 @@ impl Service {
     /// Source-resolution failures (see [`JobRequest::resolve`]).
     pub fn execute(&self, req: &JobRequest) -> Result<JobReport, ServiceError> {
         let report = self.execute_unflushed(req);
-        if let Ok(rep) = &report {
-            self.observe_cost(req, rep);
+        if report.is_ok() {
             self.pipeline(req).flush_store();
         }
         report
     }
 
-    /// Executes a request list over up to `jobs` worker threads.
-    /// Results come back in request order regardless of the worker
-    /// count, and (as with [`Pipeline::run_matrix`]) every value is
-    /// deterministic in the request list alone. SA caches are flushed to
-    /// the store once at the end.
+    /// Executes a request list over up to `jobs` worker threads, in
+    /// request order (`pipeline::fan_out`). Results come back in
+    /// request order regardless of the worker count, and (as with
+    /// [`Pipeline::run_matrix`]) every value is deterministic in the
+    /// request list alone. SA caches are flushed to the store once at
+    /// the end.
     pub fn execute_all(
         &self,
         reqs: &[JobRequest],
         jobs: usize,
     ) -> Vec<Result<JobReport, ServiceError>> {
-        let order: Vec<usize> = (0..reqs.len()).collect();
-        self.execute_ordered(reqs, &order, jobs)
-    }
-
-    /// [`Service::execute_all`] with the cost-model schedule applied:
-    /// the batch's jobs are dispatched longest-first across the worker
-    /// pool ([`Service::schedule`]), results still land in request
-    /// order. This is what a `batch N` wire frame executes.
-    pub fn execute_batch(
-        &self,
-        reqs: &[JobRequest],
-        jobs: usize,
-    ) -> Vec<Result<JobReport, ServiceError>> {
-        let order = self.schedule(reqs);
-        self.execute_ordered(reqs, &order, jobs)
-    }
-
-    /// Fans `reqs` out over up to `jobs` workers, pulling work in
-    /// `order` (a permutation of indices); result slots stay in request
-    /// order. One SA flush at the end.
-    fn execute_ordered(
-        &self,
-        reqs: &[JobRequest],
-        order: &[usize],
-        jobs: usize,
-    ) -> Vec<Result<JobReport, ServiceError>> {
-        let slots: Vec<OnceLock<Result<JobReport, ServiceError>>> =
-            reqs.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let workers = jobs.max(1).min(reqs.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(n) else { break };
-                    let Some(req) = reqs.get(i) else { break };
-                    let report = self.execute_unflushed(req);
-                    if let Ok(report) = &report {
-                        self.observe_cost(req, report);
-                    }
-                    assert!(slots[i].set(report).is_ok(), "request slot set once");
-                });
-            }
-        });
+        let reports = fan_out(reqs.len(), jobs, |i| self.execute_unflushed(&reqs[i]));
         self.flush();
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all requests executed"))
-            .collect()
-    }
-
-    /// The key the cost model files a request under: the full flow
-    /// configuration plus the job identity (source and binder) — the
-    /// same two axes that decide how much work the job is.
-    fn job_cost_key(&self, req: &JobRequest) -> Fingerprint {
-        let cfg = config_fingerprint(&req.flow_config(&self.template));
-        let mut h = Hasher128::new("hlpower/job-cost/v1");
-        h.write_str(&cfg.to_string());
-        match &req.source {
-            crate::api::proto::JobSource::Suite(name) => {
-                h.write_str("bench");
-                h.write_str(name);
-            }
-            crate::api::proto::JobSource::CdfgText(text) => {
-                h.write_str("cdfg");
-                h.write_str(text);
-            }
-        }
-        h.write_str(&req.binder.spec());
-        match req.constraint {
-            Some((a, m)) => {
-                h.write_usize(a);
-                h.write_usize(m);
-            }
-            None => h.write_str("default"),
-        }
-        h.finish()
-    }
-
-    /// Deterministic cost units for one executed job: a fixed weighting
-    /// of its stage executions (heavyweight stages dominate) plus its
-    /// SA-query count, which scales with CDFG size and so keeps warm
-    /// jobs — whose stage counts are all zero — comparable. Arbitrary
-    /// units; only the ordering matters.
-    fn measure_cost(report: &JobReport) -> u64 {
-        let s = &report.stats.stages;
-        1 + s.schedules * 500
-            + s.register_bindings * 100
-            + s.fu_bindings * 200
-            + s.elaborations * 300
-            + s.mappings * 2_000
-            + s.simulations * 4_000
-            + report.result.sa_queries / 16
-    }
-
-    /// Records the measured cost of a completed job in the scheduler's
-    /// model (latest measurement wins).
-    pub fn observe_cost(&self, req: &JobRequest, report: &JobReport) {
-        let key = self.job_cost_key(req);
-        let cost = Self::measure_cost(report);
-        self.costs
-            .lock()
-            .expect("service cost lock")
-            .insert(key, cost);
-    }
-
-    /// The measured cost of a job, if one has been recorded.
-    pub fn predicted_cost(&self, req: &JobRequest) -> Option<u64> {
-        self.costs
-            .lock()
-            .expect("service cost lock")
-            .get(&self.job_cost_key(req))
-            .copied()
-    }
-
-    /// Orders a batch's job indices for the worker pool: jobs with no
-    /// recorded cost first (in request order — an unmeasured job may be
-    /// the longest, and starting the longest job late is the classic
-    /// makespan mistake), then measured jobs longest-first, ties broken
-    /// by request order. Deterministic in the request list and the
-    /// model's contents.
-    pub fn schedule(&self, reqs: &[JobRequest]) -> Vec<usize> {
-        let mut keyed: Vec<(usize, Option<u64>)> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, req)| (i, self.predicted_cost(req)))
-            .collect();
-        keyed.sort_by(|(ia, ca), (ib, cb)| match (ca, cb) {
-            (None, None) => ia.cmp(ib),
-            (None, Some(_)) => std::cmp::Ordering::Less,
-            (Some(_), None) => std::cmp::Ordering::Greater,
-            (Some(a), Some(b)) => b.cmp(a).then(ia.cmp(ib)),
-        });
-        keyed.into_iter().map(|(i, _)| i).collect()
+        reports
     }
 
     /// Merges every pipeline's in-memory SA cache into the store's
@@ -466,58 +321,5 @@ mod tests {
             service.execute(&fast("wang").cycles(0)).unwrap_err(),
             ServiceError::ZeroCycles
         );
-    }
-
-    #[test]
-    fn schedule_orders_measured_jobs_longest_first_and_unknown_first() {
-        let service = Service::new();
-        let big = fast("pr");
-        let small = fast("wang");
-        let unknown = fast("chem");
-        // Nothing measured yet: request order.
-        assert_eq!(service.schedule(&[small.clone(), big.clone()]), vec![0, 1]);
-        service.execute(&big).unwrap();
-        service.execute(&small).unwrap();
-        let cb = service.predicted_cost(&big).expect("big measured");
-        let cs = service.predicted_cost(&small).expect("small measured");
-        // Measured jobs: strictly costlier first; ties keep request
-        // order. (Which benchmark measures costlier at these tiny knobs
-        // is close; the sort contract is what matters.)
-        let expect = match cb.cmp(&cs) {
-            std::cmp::Ordering::Greater => vec![1, 0],
-            _ => vec![0, 1],
-        };
-        assert_eq!(service.schedule(&[small.clone(), big.clone()]), expect);
-        // Unmeasured jobs jump the queue, ahead of every measured one.
-        let mut with_unknown = vec![2];
-        with_unknown.extend(&expect);
-        assert_eq!(
-            service.schedule(&[small.clone(), big.clone(), unknown.clone()]),
-            with_unknown
-        );
-        // The model re-keys on configuration: the same benchmark at a
-        // different width is an unknown job again.
-        assert!(service.predicted_cost(&big.clone().width(8)).is_none());
-    }
-
-    #[test]
-    fn execute_batch_matches_execute_all_results() {
-        let reqs: Vec<JobRequest> = vec![fast("pr"), fast("wang"), fast("pr").width(5)];
-        let a = Service::new().execute_all(&reqs, 2);
-        let service = Service::new();
-        // Warm the cost model so the batch actually reorders.
-        for r in &reqs {
-            service.execute(r).unwrap();
-        }
-        let b = service.execute_batch(&reqs, 2);
-        for (x, y) in a.iter().zip(&b) {
-            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-            assert_eq!(x.result.name, y.result.name);
-            assert_eq!(x.result.luts, y.result.luts);
-            assert_eq!(
-                x.result.power.total_transitions,
-                y.result.power.total_transitions
-            );
-        }
     }
 }

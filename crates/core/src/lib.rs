@@ -68,7 +68,7 @@ pub use flow::{paper_constraint, run_benchmark, BindOutcome, Binder, FlowConfig,
 pub use fubind::{bind_hlpower, Fu, FuBinding, HlPowerConfig, IterationTrace, MergeRecord};
 pub use lopass::{bind_lopass, refine_lopass};
 pub use mux::{mux_report, MuxReport};
-pub use pipeline::{Pipeline, PipelineStats, Prepared, Shard, StageCounts};
+pub use pipeline::{Pipeline, PipelineStats, Prepared, StageCounts};
 pub use power::{PowerModel, PowerReport};
 pub use regbind::{bind_registers, bind_registers_left_edge, RegBindConfig, RegisterBinding};
 pub use satable::{
@@ -76,8 +76,8 @@ pub use satable::{
     SharedSaTable,
 };
 pub use store::{
-    audit_artifact_auto, audit_artifact_bytes, fix_artifact_auto, ArtifactBytes, ArtifactStore,
-    CodecNanos, FixVerdict, FsckIssue, FsckReport, GcPolicy, GcReport, KindUsage, LocalStore,
-    MappedArtifact, MergeReport, RemoteStore, StoreBackend, StoreCounts, StoreUsage,
+    audit_artifact_auto, audit_artifact_bytes, checked_netlist, fix_artifact_auto, ArtifactBytes,
+    ArtifactStore, CodecNanos, FixVerdict, FsckIssue, FsckReport, GcPolicy, GcReport, KindUsage,
+    LocalStore, MappedArtifact, MergeReport, RemoteStore, StoreBackend, StoreCounts, StoreUsage,
 };
 pub use vhdl::write_vhdl;

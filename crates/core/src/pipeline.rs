@@ -30,10 +30,10 @@
 //! store pool their work with no merge step at all.
 //!
 //! [`Pipeline::run_matrix`] fans benchmark × binder jobs out over scoped
-//! worker threads. Job order, result order, and every numeric output are
-//! independent of the worker count *and* of the store state: workers pull
-//! jobs from a shared queue but deposit results into per-job slots, all
-//! cross-job state (the SA cache) is value-deterministic, and cached
+//! worker threads through `fan_out`, the one ordered fan-out that
+//! [`crate::api::Service::execute_all`] runs on too. Job order, result
+//! order, and every numeric output are independent of the worker count
+//! (see `fan_out` for why) *and* of the store state, since cached
 //! artifacts reload bit-exactly. [`PipelineStats`] exposes how often each
 //! stage actually ran and the store's hit/miss counters, which the tests
 //! use to prove the sharing and caching claims.
@@ -188,63 +188,6 @@ impl StageCounters {
             mappings: self.mappings.load(Ordering::Relaxed),
             simulations: self.simulations.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// One worker's slice of the benchmark × binder job matrix: shard
-/// `index` of `total` owns the jobs whose global index is congruent to
-/// `index` modulo `total`. The job order is the deterministic
-/// row-major `(benchmark, binder)` enumeration, so the partition is
-/// identical on every host.
-///
-/// # Examples
-///
-/// ```
-/// use hlpower::pipeline::Shard;
-/// let s = Shard::parse("1/4").unwrap();
-/// assert!(!s.owns(0) && s.owns(1) && !s.owns(2));
-/// assert!(Shard::parse("4/4").is_none(), "index must be < total");
-/// assert_eq!(Shard::full(), Shard::parse("0/1").unwrap());
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Shard {
-    /// This worker's index, `0 <= index < total`.
-    pub index: usize,
-    /// Total number of workers.
-    pub total: usize,
-}
-
-impl Shard {
-    /// The trivial shard owning every job.
-    pub fn full() -> Shard {
-        Shard { index: 0, total: 1 }
-    }
-
-    /// Parses the CLI form `i/N`. Returns `None` unless `i < N` and
-    /// `N >= 1`.
-    pub fn parse(s: &str) -> Option<Shard> {
-        let (i, n) = s.split_once('/')?;
-        let shard = Shard {
-            index: i.parse().ok()?,
-            total: n.parse().ok()?,
-        };
-        (shard.index < shard.total).then_some(shard)
-    }
-
-    /// Whether this shard owns global job index `job`.
-    pub fn owns(&self, job: usize) -> bool {
-        job % self.total == self.index
-    }
-
-    /// Whether this is the trivial full shard.
-    pub fn is_full(&self) -> bool {
-        self.total == 1
-    }
-}
-
-impl fmt::Display for Shard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.total)
     }
 }
 
@@ -623,87 +566,64 @@ impl Pipeline {
     }
 
     /// Fans the `suite × binders` job matrix out over up to `jobs` worker
-    /// threads and returns results as `results[bench][binder]`.
-    ///
-    /// Results are **deterministic in value and order** regardless of
-    /// `jobs`: workers pull jobs from a shared queue but write into the
-    /// job's own result slot, shared caches are value-deterministic, and
-    /// per-result runtime accounting uses SA-query counts rather than
-    /// wall-clock interleaving.
+    /// threads in row-major order (`fan_out`) and returns results as
+    /// `results[bench][binder]`, deterministic in value and order
+    /// regardless of `jobs`. The SA caches are flushed to the store
+    /// before returning.
     pub fn run_matrix(
         &self,
         suite: &[(Cdfg, ResourceConstraint)],
         binders: &[Binder],
         jobs: usize,
     ) -> Vec<Vec<FlowResult>> {
-        let results = self.run_matrix_sharded(suite, binders, jobs, Shard::full());
-        results
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|r| r.expect("full shard runs every job"))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Like [`Pipeline::run_matrix`], but executes only the jobs owned by
-    /// `shard` (global job index ≡ `shard.index` mod `shard.total`, in
-    /// the deterministic row-major job order); the other slots come back
-    /// `None`. With an attached store this is the multi-process scale-out
-    /// primitive: each worker runs its shard against its own store, and
-    /// `hlp merge` combines the stores so a final full run is all cache
-    /// hits — byte-identical to an unsharded run. The SA caches are
-    /// flushed to the store before returning.
-    pub fn run_matrix_sharded(
-        &self,
-        suite: &[(Cdfg, ResourceConstraint)],
-        binders: &[Binder],
-        jobs: usize,
-        shard: Shard,
-    ) -> Vec<Vec<Option<FlowResult>>> {
-        let job_list: Vec<(usize, usize)> = (0..suite.len())
-            .flat_map(|b| (0..binders.len()).map(move |k| (b, k)))
-            .enumerate()
-            .filter(|(i, _)| shard.owns(*i))
-            .map(|(_, job)| job)
-            .collect();
-        let slots: Vec<OnceLock<FlowResult>> = job_list.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let workers = jobs.max(1).min(job_list.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(b, k)) = job_list.get(i) else {
-                        break;
-                    };
-                    let (cdfg, rc) = &suite[b];
-                    let result = self.run(cdfg, rc, binders[k]);
-                    slots[i].set(result).expect("job slot set once");
-                });
-            }
-        });
+        let width = binders.len();
+        let mut results = fan_out(suite.len() * width, jobs, |i| {
+            let (cdfg, rc) = &suite[i / width];
+            self.run(cdfg, rc, binders[i % width])
+        })
+        .into_iter();
         self.flush_store();
-        let mut owned = job_list.iter().zip(slots).collect::<Vec<_>>().into_iter();
-        let mut next_owned = owned.next();
-        (0..suite.len())
-            .map(|b| {
-                (0..binders.len())
-                    .map(|k| match next_owned.take() {
-                        Some((&(jb, jk), slot)) if (jb, jk) == (b, k) => {
-                            next_owned = owned.next();
-                            Some(slot.into_inner().expect("owned jobs completed"))
-                        }
-                        other => {
-                            next_owned = other;
-                            None
-                        }
-                    })
-                    .collect()
-            })
+        suite
+            .iter()
+            .map(|_| results.by_ref().take(width).collect())
             .collect()
     }
+}
+
+/// Runs `job(i)` for every `i` in `0..n` over up to `workers` scoped
+/// threads and returns the results in index order — the one fan-out
+/// behind [`Pipeline::run_matrix`] and
+/// [`crate::api::Service::execute_all`].
+///
+/// Workers pull indices from one atomic cursor, so jobs *start* in
+/// index order, and each result lands in its own slot, so the output
+/// order never depends on the worker count or on which worker ran what.
+/// The *values* are independent of the worker count as long as the
+/// only state jobs share is value-deterministic: a pipeline's prepared
+/// artifacts and SA cache (a key's value never depends on who computed
+/// it first) and the store's content-addressed slots. Per-result
+/// runtime accounting uses SA-query counts, never wall-clock
+/// interleaving.
+pub(crate) fn fan_out<T: Send + Sync>(
+    n: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.clamp(1, n.max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                assert!(slot.set(job(i)).is_ok(), "job slot set once");
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every job ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -735,48 +655,6 @@ mod tests {
         let report = p.fsck(false).expect("store attached").unwrap();
         assert!(report.is_clean(), "{report}");
         assert!(report.scanned >= 3, "prepared + netlists + sims walked");
-    }
-
-    #[test]
-    fn shard_parse_accepts_only_well_formed_slices() {
-        // The good cases.
-        assert_eq!(Shard::parse("0/1"), Some(Shard { index: 0, total: 1 }));
-        assert_eq!(Shard::parse("3/8"), Some(Shard { index: 3, total: 8 }));
-        assert!(Shard::parse("0/1").unwrap().is_full());
-        assert!(!Shard::parse("0/2").unwrap().is_full());
-        // Degenerate totals: no shard can own anything out of 0 workers.
-        assert_eq!(Shard::parse("0/0"), None);
-        assert_eq!(Shard::parse("1/0"), None);
-        // Index out of range (i >= N).
-        assert_eq!(Shard::parse("1/1"), None);
-        assert_eq!(Shard::parse("4/4"), None);
-        assert_eq!(Shard::parse("9/4"), None);
-        // Garbage shapes.
-        for bad in [
-            "", "/", "1", "1/", "/2", "a/b", "1/b", "a/2", "1/2/3", "-1/2", "1/-2", "1.0/2",
-            "0x1/2",
-        ] {
-            assert_eq!(Shard::parse(bad), None, "`{bad}` must not parse");
-        }
-        // Whitespace is not trimmed anywhere: a padded spec is rejected
-        // rather than silently accepted with surprising semantics.
-        for bad in [" 0/1", "0/1 ", "0 /1", "0/ 1", "0\t/1", "0/1\n"] {
-            assert_eq!(Shard::parse(bad), None, "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
-    fn shard_partition_is_exact_and_total() {
-        // Every job index is owned by exactly one of the N shards.
-        for total in 1..=5usize {
-            let shards: Vec<Shard> = (0..total)
-                .map(|i| Shard::parse(&format!("{i}/{total}")).unwrap())
-                .collect();
-            for job in 0..37 {
-                let owners = shards.iter().filter(|s| s.owns(job)).count();
-                assert_eq!(owners, 1, "job {job} of {total} shards");
-            }
-        }
     }
 
     #[test]
@@ -1084,60 +962,6 @@ mod tests {
         )
         .run_matrix(&suite, &binders, 1);
         assert_eq!(result_key(&direct[0][0]), result_key(&via_store[0][0]));
-    }
-
-    #[test]
-    fn sharded_runs_merge_to_the_unsharded_result() {
-        let suite = small_suite(&["pr", "wang"]);
-        let binders = [Binder::Lopass, Binder::HlPower { alpha: 0.5 }];
-        let cfg = FlowConfig::fast();
-        let unsharded = Pipeline::new(cfg.clone()).run_matrix(&suite, &binders, 2);
-
-        let store0 = temp_store("shard0");
-        let store1 = temp_store("shard1");
-        let shard0 = Pipeline::with_store(cfg.clone(), store0.clone()).run_matrix_sharded(
-            &suite,
-            &binders,
-            2,
-            Shard::parse("0/2").unwrap(),
-        );
-        let shard1 = Pipeline::with_store(cfg.clone(), store1.clone()).run_matrix_sharded(
-            &suite,
-            &binders,
-            2,
-            Shard::parse("1/2").unwrap(),
-        );
-        // The two shards partition the matrix exactly.
-        let mut owned = 0;
-        for (row0, row1) in shard0.iter().zip(&shard1) {
-            for (a, b) in row0.iter().zip(row1) {
-                assert!(
-                    a.is_some() != b.is_some(),
-                    "each job runs in exactly one shard"
-                );
-                owned += 1;
-            }
-        }
-        assert_eq!(owned, 4);
-
-        // Merge shard stores and run the full matrix warm.
-        let merged = temp_store("shard-merged");
-        merged.merge_from(&store0).unwrap();
-        merged.merge_from(&store1).unwrap();
-        let warm = Pipeline::with_store(cfg, merged);
-        let combined = warm.run_matrix(&suite, &binders, 2);
-        let stats = warm.stats();
-        assert_eq!(stats.stages.mappings, 0, "merged store covers every job");
-        assert_eq!(stats.stages.simulations, 0);
-        for (u_row, c_row) in unsharded.iter().zip(&combined) {
-            for (u, c) in u_row.iter().zip(c_row) {
-                assert_eq!(result_key(u), result_key(c));
-                assert_eq!(
-                    u.power.dynamic_power_mw.to_bits(),
-                    c.power.dynamic_power_mw.to_bits()
-                );
-            }
-        }
     }
 
     #[test]

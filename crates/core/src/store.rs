@@ -103,7 +103,8 @@
 //! // every map/simulate stage it finds cached.
 //! ```
 
-use crate::api::{unescape, Endpoint};
+use crate::api::proto::{read_reply_line, Stream};
+use crate::api::{unescape, Endpoint, RequestError};
 use crate::audit::{self, FsckOptions, RepairMode};
 use crate::fingerprint::Fingerprint;
 use crate::regbind::RegisterBinding;
@@ -113,11 +114,8 @@ use gatesim::SimStats;
 use netlist::{binio, parse_netlist_text, write_netlist_text, Netlist};
 use std::fmt;
 use std::fs;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufReader, Read, Write};
 use std::ops::Deref;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -936,9 +934,13 @@ pub fn audit_artifact_bytes(kind: &str, name: &str, data: &[u8]) -> Result<(), S
 
 /// Runs the full semantic checker over `nl`, summarizing a clean pass
 /// in one line and the first error-grade violation (plus the error
-/// count) in another — the shared verdict shape of both audit entry
-/// points.
-fn checked_netlist(nl: &Netlist, what: &str) -> Result<String, String> {
+/// count) in another — the shared verdict shape of the store audits and
+/// `hlp check`.
+///
+/// # Errors
+///
+/// The one-line verdict of a netlist that fails the checker.
+pub fn checked_netlist(nl: &Netlist, what: &str) -> Result<String, String> {
     let report = netlist::check_netlist(nl);
     if report.is_clean() {
         Ok(format!(
@@ -1289,56 +1291,6 @@ impl StoreBackend for LocalStore {
 
 // ---- RemoteStore -----------------------------------------------------------
 
-#[derive(Debug)]
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn dial(endpoint: &Endpoint) -> io::Result<Conn> {
-        match endpoint {
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
-            #[cfg(unix)]
-            Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix-domain sockets are not available on this host",
-            )),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// The wire backend: artifact `get`/`put`/`stat`/`list` and SA-shard
 /// merges against an `hlp serve` daemon, over the same socket the job
 /// protocol uses (`--store remote:ADDR`). Connections are pooled and
@@ -1347,7 +1299,7 @@ impl Write for Conn {
 #[derive(Debug)]
 pub struct RemoteStore {
     endpoint: Endpoint,
-    pool: Mutex<Vec<BufReader<Conn>>>,
+    pool: Mutex<Vec<BufReader<Stream>>>,
 }
 
 impl RemoteStore {
@@ -1376,7 +1328,7 @@ impl RemoteStore {
     /// connection may have died with a daemon restart, so a failure
     /// there falls through to one fresh dial; errors on the fresh
     /// connection are real and propagate.
-    fn op<T>(&self, f: &mut dyn FnMut(&mut BufReader<Conn>) -> io::Result<T>) -> io::Result<T> {
+    fn op<T>(&self, f: &mut dyn FnMut(&mut BufReader<Stream>) -> io::Result<T>) -> io::Result<T> {
         let pooled = self.pool.lock().expect("remote store pool").pop();
         if let Some(mut conn) = pooled {
             if let Ok(v) = f(&mut conn) {
@@ -1384,49 +1336,30 @@ impl RemoteStore {
                 return Ok(v);
             }
         }
-        let mut conn = BufReader::new(Conn::dial(&self.endpoint)?);
+        let mut conn = BufReader::new(Stream::dial(&self.endpoint)?);
         let v = f(&mut conn)?;
         self.pool.lock().expect("remote store pool").push(conn);
         Ok(v)
     }
 
-    fn reply_line(conn: &mut BufReader<Conn>) -> io::Result<String> {
-        loop {
-            let mut line = String::new();
-            if conn.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "daemon closed the connection mid-reply",
-                ));
+    /// The next reply line ([`read_reply_line`]), with the daemon's own
+    /// `error` message surfaced as the I/O error the caller reports.
+    fn reply_line(conn: &mut BufReader<Stream>) -> io::Result<String> {
+        read_reply_line(conn).map_err(|e| match e {
+            RequestError::Io(e) => e,
+            RequestError::Remote(msg) => {
+                io::Error::new(io::ErrorKind::InvalidData, format!("daemon: {msg}"))
             }
-            let line = line.trim_end_matches(['\n', '\r']).to_string();
-            // A parked connection hears one `busy` line before its
-            // eventual reply; it is backpressure advice, not a reply.
-            if line == "busy" || line.starts_with("busy ") {
-                continue;
-            }
-            return Ok(line);
-        }
+            RequestError::Protocol(msg) => io::Error::new(io::ErrorKind::InvalidData, msg),
+        })
     }
 
-    /// Maps an unexpected reply line to the error the caller reports:
-    /// the daemon's own `error` message when it sent one, a protocol
-    /// diagnosis otherwise.
+    /// A protocol diagnosis for a reply line the exchange did not expect.
     fn unexpected(line: &str, expected: &str) -> io::Error {
-        if let Some(msg) = line.strip_prefix("error ") {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "daemon: {}",
-                    unescape(msg).unwrap_or_else(|_| msg.to_string())
-                ),
-            )
-        } else {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed daemon reply `{line}` (expected {expected})"),
-            )
-        }
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("malformed daemon reply `{line}` (expected {expected})"),
+        )
     }
 
     fn try_get(&self, kind: &str, name: &str) -> io::Result<Option<Vec<u8>>> {

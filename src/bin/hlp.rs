@@ -651,7 +651,8 @@ fn serve(args: &[String]) -> ! {
 /// to a daemon as one `batch N` frame, and render the reports in
 /// request order — stdout is byte-identical to running the same lines
 /// sequentially, the round-trip count is 1 instead of N, and the daemon
-/// schedules the jobs longest-first across its worker pool.
+/// starts the jobs in request order across its worker pool. A job that
+/// fails is named on stderr and the others still print (exit 1).
 fn batch(args: &[String]) -> ! {
     let mut remote: Option<String> = None;
     let mut file: Option<String> = None;
@@ -721,29 +722,6 @@ fn batch(args: &[String]) -> ! {
     exit(i32::from(failed))
 }
 
-/// Formats a netlist check verdict: a one-line summary for a clean
-/// pass, the first error (plus the count) otherwise.
-fn netlist_verdict(nl: &netlist::Netlist, what: &str) -> Result<String, String> {
-    let report = netlist::check_netlist(nl);
-    if report.is_clean() {
-        Ok(format!(
-            "{what}: {} node(s) checked, {} warning(s)",
-            report.checked_nodes,
-            report.warnings()
-        ))
-    } else {
-        let first = report
-            .violations
-            .iter()
-            .find(|v| v.severity() == netlist::Severity::Error)
-            .expect("unclean report has an error");
-        Err(format!(
-            "{what} fails semantic check ({} error(s); first: {first})",
-            report.errors()
-        ))
-    }
-}
-
 /// Audits one file for `hlp check`, dispatching on what it holds:
 /// `.blif` and `.cdfg` sources parse and run their semantic checker;
 /// everything else is sniffed — binary store artifacts and netlists,
@@ -760,7 +738,7 @@ fn check_one(path: &str) -> Result<String, String> {
         let nl = file
             .flatten(None, &[])
             .map_err(|e| format!("BLIF elaboration: {e}"))?;
-        netlist_verdict(&nl, "BLIF netlist")
+        hlpower::checked_netlist(&nl, "BLIF netlist")
     } else if path.ends_with(".cdfg") {
         let text =
             String::from_utf8(data).map_err(|_| "CDFG file is not UTF-8 text".to_string())?;

@@ -6,6 +6,9 @@
 //! * oversize and empty batch frames are refused protocol-clean (the
 //!   error names the batch cap; an empty frame leaves the connection
 //!   serviceable);
+//! * a first job whose own error mentions "batch" is that job's error,
+//!   not a refusal of the frame, while refused frames (oversize, empty,
+//!   malformed header) are one error that starts with `BATCH_REFUSED`;
 //! * `control stats` counters reconcile with the requests actually
 //!   made, verb by verb, including batch accounting;
 //! * a `store fsck` sweep over the wire surfaces in
@@ -190,6 +193,48 @@ fn oversize_and_empty_batch_frames_are_refused_protocol_clean() {
         .collect();
     let err = api::request_batch(&daemon.endpoint, &too_many).unwrap_err();
     assert!(err.to_string().contains("batch"), "got `{err}`");
+
+    daemon.stop();
+}
+
+#[test]
+fn a_first_job_error_naming_batch_is_a_job_error_not_a_frame_refusal() {
+    let store_dir = temp_path("job-err-store");
+    let socket = temp_path("job-err-sock");
+    let daemon = Daemon::start(&socket, &store_dir, ServeOptions::default());
+
+    // The first job fails with `unknown benchmark `batch``: that is its
+    // own reply, and the job after it is still answered.
+    let reqs = vec![JobRequest::suite("batch"), fast_request("wang")];
+    let replies = api::request_batch(&daemon.endpoint, &reqs).unwrap();
+    assert_eq!(replies.len(), 2);
+    let err = replies[0].as_ref().unwrap_err().to_string();
+    assert!(err.contains("unknown benchmark `batch`"), "got `{err}`");
+    let local = Service::new().execute(&reqs[1]).unwrap();
+    assert_eq!(
+        result_text(&local),
+        result_text(replies[1].as_ref().unwrap())
+    );
+
+    // Frame refusals are still one error each, and say so up front.
+    let too_many: Vec<JobRequest> = (0..api::MAX_BATCH_JOBS + 1)
+        .map(|_| fast_request("wang"))
+        .collect();
+    for frame in [&too_many[..], &[]] {
+        let err = api::request_batch(&daemon.endpoint, frame).unwrap_err();
+        assert!(
+            matches!(&err, api::RequestError::Remote(msg) if msg.starts_with(api::BATCH_REFUSED)),
+            "got `{err}`"
+        );
+    }
+    let conn = UnixStream::connect(&socket).unwrap();
+    (&conn).write_all(b"batch two\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(&conn).read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with(&format!("error {}", api::escape(api::BATCH_REFUSED))),
+        "got `{line}`"
+    );
 
     daemon.stop();
 }
