@@ -9,7 +9,7 @@
 use activity::{analyze, analyze_zero_delay, ActivityConfig, ZeroDelayModel};
 use cdfg::FuType;
 use gatesim::{CycleSim, SlabSim, SlabVectorSource, VectorSource};
-use hlpower::partial_datapath;
+use hlpower::{flow, partial_datapath, Binder, Datapath, FlowConfig};
 use mapper::{enumerate_cuts, map, CutConfig, MapConfig, MapObjective};
 use netlist::{cells, Netlist, NodeId};
 use std::time::Instant;
@@ -88,6 +88,12 @@ fn bench_sa_table_entry() {
 /// advances 64 lanes per event-wheel pass, and the four-word slab
 /// advances four 64-lane words per pass with one shared wheel and an
 /// autovectorizable straight-line kernel.
+///
+/// One more row runs the scalar engine on a real suite datapath, chem
+/// under HLPower (α = 0.5) at the paper configuration, driven exactly as
+/// the flow drives it (`flow::simulate_scalar`: data-pin noise drawn per
+/// cycle, control program included). It is the largest simulation a
+/// Table 3 job runs, so it tracks what the paper's setting pays.
 ///
 /// Besides the printed table, the rates land in `BENCH_sim.json` at the
 /// workspace root, with the host's core count, so future changes can
@@ -170,6 +176,12 @@ fn bench_simulators() {
     });
     let skip_rate = skip_rate.get();
 
+    let chem_cfg = FlowConfig::default();
+    let (chem_dp, chem) = suite_datapath("chem", Binder::HlPower { alpha: 0.5 }, &chem_cfg);
+    let chem_scalar = rate("simulation/scalar_chem_hlpower_paper", &|| {
+        flow::simulate_scalar(&chem_dp, &chem, &chem_cfg).total_transitions
+    });
+
     // The activity gate under a quiescent workload: only the low 64
     // lanes toggle, so three of the four slab words should be skipped
     // wholesale. (Under fully random stimulus above, every word is
@@ -216,11 +228,14 @@ fn bench_simulators() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let cycles = chem_cfg.sim_cycles;
     let json = format!(
         "{{\n  \"benchmark\": \"mapped_mult16\",\n  \"steps\": {steps},\n  \"seed\": {seed},\n  \
          \"cores\": {cores},\n  \
          \"transitions_per_sec\": {{\n    \"scalar\": {scalar:.0},\n    \"lanes1\": {lane1:.0},\n    \
          \"lanes64\": {word64:.0},\n    \"lanes256_slab\": {slab256:.0}\n  }},\n  \
+         \"suite_scalar\": {{\n    \"datapath\": \"chem/hlpower:0.5\",\n    \"config\": \"paper\",\n    \
+         \"cycles\": {cycles},\n    \"transitions_per_sec\": {chem_scalar:.0}\n  }},\n  \
          \"slab_activity_skip_rate\": {skip_rate:.4},\n  \
          \"slab_sparse_skip_rate\": {sparse_skip:.4},\n  \
          \"word64_vs_scalar_speedup\": {word_speedup:.2},\n  \
@@ -242,6 +257,19 @@ fn bench_simulators() {
     );
 }
 
+/// The elaborated and mapped datapath the flow simulates for one suite
+/// benchmark under `binder`.
+fn suite_datapath(name: &str, binder: Binder, cfg: &FlowConfig) -> (Datapath, Netlist) {
+    let p = cdfg::profile(name).expect("suite benchmark");
+    let g = cdfg::generate(p, p.seed);
+    let rc = hlpower::paper_constraint(name).expect("suite constraint");
+    let (sched, rb) = flow::prepare(&g, &rc, cfg);
+    let mut table = flow::sa_table_for(cfg, binder);
+    let outcome = flow::bind(&g, &sched, &rb, &rc, binder, &mut table);
+    let (dp, mapped) = flow::elaborate_map(&g, &sched, &rb, &outcome.fb, cfg);
+    (dp, mapped.netlist)
+}
+
 /// Cold-vs-warm artifact store on one full benchmark × binder job: the
 /// cold run computes schedule → bind → elaborate → map → simulate and
 /// persists every artifact; warm runs rebuild the same `FlowResult`
@@ -249,7 +277,7 @@ fn bench_simulators() {
 /// shard is loaded). The payoff the store exists for, reported as a
 /// speedup with an asserted floor.
 fn bench_store() {
-    use hlpower::{ArtifactStore, Binder, FlowConfig, Pipeline};
+    use hlpower::{ArtifactStore, Pipeline};
     use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!("hlpower-bench-store-{}", std::process::id()));

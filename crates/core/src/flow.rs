@@ -519,12 +519,18 @@ pub fn simulate_scalar(
     let mut src = VectorSource::new(cfg.sim_seed);
     let mask = width_mask(cfg.width);
     let mut data: Vec<u64> = vec![0; dp.data_ports.len()];
+    // Reused scratch, as in the slab driver: a cycle draws and packs
+    // without allocating.
+    let mut bits = vec![false; cfg.width];
+    let mut pi = vec![false; mapped.inputs().len()];
     for c in 0..cfg.sim_cycles {
         let step = (c % dp.num_steps as u64) as u32;
         for d in &mut data {
-            *d = pack_bits(&src.next_vector(cfg.width), mask);
+            src.fill(&mut bits);
+            *d = pack_bits(&bits, mask);
         }
-        sim.step(&dp.input_vector(step, &data));
+        dp.fill_input_vector(step, &data, &mut pi);
+        sim.step(&pi);
     }
     sim.stats().clone()
 }
@@ -589,8 +595,7 @@ fn simulate_slab_width<const W: usize>(
         for lane in 0..lanes {
             let (w, bit) = (lane / 64, lane % 64);
             for d in &mut data {
-                // Same per-port draw order as the scalar engine (`fill`
-                // and `next_vector` consume the stream identically).
+                // Same per-port draw order as the scalar engine.
                 src.lane(lane).fill(&mut bits);
                 *d = pack_bits(&bits, mask);
             }

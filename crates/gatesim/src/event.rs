@@ -11,10 +11,17 @@
 //! A node whose settled value differs from its value at the start of the
 //! cycle contributes one *functional* transition; all remaining
 //! transitions are glitches.
+//!
+//! [`CycleSim`] compiles its netlist once into the flat simulation graph
+//! it shares with [`crate::SlabSim`] and keeps every LUT's fanin row
+//! current, so evaluating a LUT is one shift of its truth-table word; the
+//! type docs say why that reads exactly the values a gather would.
 
 use crate::eval::Evaluator;
+use crate::graph::SimGraph;
 use netlist::binio::{self, BinError};
-use netlist::{Netlist, NodeId, NodeKind};
+use netlist::{Netlist, NodeId};
+use std::marker::PhantomData;
 
 /// Version of the binary sim-summary encoding (the `"simu"` payload).
 pub const SIM_SUMMARY_VERSION: u32 = 1;
@@ -121,24 +128,48 @@ pub struct CycleReport {
     pub glitches: u64,
 }
 
+/// Marks a node that is not scheduled in any wheel slot.
+pub(crate) const UNSCHEDULED: u32 = u32::MAX;
+
 /// Unit-delay, cycle-based event simulator.
 ///
 /// Each [`CycleSim::step`] models one clock cycle: latches capture their
 /// `D` values and primary inputs take their new values simultaneously at
 /// time 0; changes then propagate with one unit of delay per logic level
 /// while transitions are counted.
+///
+/// The engine runs on the netlist's compiled simulation graph (see the
+/// crate docs) and keeps every logic node's **fanin row** current: bit
+/// `k` of `rows[id]` is the value of fanin `k`, so the row is the
+/// truth-table row the node reads now. Committing a change XORs the
+/// driver's pin mask into each reader's row, and evaluating a LUT is one
+/// shift of its table word. A row is updated only when a value is
+/// committed, and every node of a time slot is evaluated before any of
+/// the slot's changes commit, so each evaluation reads its fanins as of
+/// the previous time step — the same values a gather over the fanins
+/// would read, and so the same counts.
 #[derive(Debug)]
 pub struct CycleSim<'a> {
-    nl: &'a Netlist,
-    fanouts: Vec<Vec<NodeId>>,
+    g: SimGraph,
     values: Vec<bool>,
+    /// Packed fanin values of each logic node (see the type docs).
+    rows: Vec<u32>,
+    /// Each node's value when the current cycle first changed it (read
+    /// only for nodes in `touched`).
     cycle_start: Vec<bool>,
     stats: SimStats,
     // time wheel state
-    wheel: Vec<Vec<NodeId>>,
+    wheel: Vec<Vec<u32>>,
     scheduled_at: Vec<u32>,
-    touched: Vec<NodeId>,
+    /// Nodes changed this cycle: `touched[..touched_len]`.
+    touched: Vec<u32>,
+    touched_len: usize,
     touch_stamp: Vec<u64>,
+    // per-step scratch, reused from step to step
+    batch: Vec<u32>,
+    updates: Vec<u32>,
+    captured: Vec<bool>,
+    netlist: PhantomData<&'a Netlist>,
 }
 
 impl<'a> CycleSim<'a> {
@@ -152,20 +183,37 @@ impl<'a> CycleSim<'a> {
     pub fn new(nl: &'a Netlist) -> Self {
         let ev = Evaluator::new(nl); // validates + settles initial state
         let values = ev.values().to_vec();
-        let depth = nl.depth() as usize;
+        let g = SimGraph::new(nl);
+        let n = g.num_nodes();
+        let rows = (0..n)
+            .map(|id| {
+                g.fanins(id)
+                    .iter()
+                    .enumerate()
+                    .fold(0u32, |row, (k, &f)| row | (values[f as usize] as u32) << k)
+            })
+            .collect();
         CycleSim {
-            nl,
-            fanouts: nl.fanouts(),
-            cycle_start: values.clone(),
+            wheel: vec![Vec::new(); g.wheel_len()],
+            g,
             values,
+            rows,
+            cycle_start: vec![false; n],
             stats: SimStats {
-                per_node: vec![0; nl.num_nodes()],
+                per_node: vec![0; n],
                 ..SimStats::default()
             },
-            wheel: vec![Vec::new(); depth + 2],
-            scheduled_at: vec![u32::MAX; nl.num_nodes()],
-            touched: Vec::new(),
-            touch_stamp: vec![0; nl.num_nodes()],
+            scheduled_at: vec![UNSCHEDULED; n],
+            // One spare slot each: `touched` and `updates` are appended to
+            // by an unconditional write plus a conditional length bump,
+            // and hold at most one entry per node.
+            touched: vec![0; n + 1],
+            touched_len: 0,
+            touch_stamp: vec![0; n],
+            batch: Vec::new(),
+            updates: vec![0; n + 1],
+            captured: Vec::new(),
+            netlist: PhantomData,
         }
     }
 
@@ -204,78 +252,62 @@ impl<'a> CycleSim<'a> {
     ///
     /// Panics if `pi_vector.len()` differs from the input count.
     pub fn step(&mut self, pi_vector: &[bool]) -> CycleReport {
-        let inputs = self.nl.inputs();
-        assert_eq!(pi_vector.len(), inputs.len(), "one value per primary input");
-        self.cycle_start.copy_from_slice(&self.values);
-        self.touched.clear();
+        assert_eq!(
+            pi_vector.len(),
+            self.g.inputs().len(),
+            "one value per primary input"
+        );
+        self.touched_len = 0;
 
         let mut report = CycleReport::default();
-        // Time 0: latch capture + new PI vector, simultaneously.
-        let captured: Vec<(NodeId, bool)> = self
-            .nl
-            .latches()
-            .iter()
-            .map(|&l| match &self.nl.node(l).kind {
-                NodeKind::Latch { data, .. } => (l, self.values[data.index()]),
-                _ => unreachable!(),
-            })
-            .collect();
-        for (l, v) in captured {
-            self.apply_change(l, v, &mut report);
+        // Time 0: latch capture + new PI vector, simultaneously. Every D
+        // is read before any Q changes.
+        self.captured.clear();
+        self.captured.extend(
+            self.g
+                .latches()
+                .iter()
+                .map(|&(_, d)| self.values[d as usize]),
+        );
+        for k in 0..self.captured.len() {
+            let q = self.g.latches()[k].0;
+            self.apply_change(q, self.captured[k], &mut report);
         }
-        let pi_changes: Vec<(NodeId, bool)> = inputs
-            .iter()
-            .zip(pi_vector)
-            .map(|(&i, &v)| (i, v))
-            .collect();
-        for (i, v) in pi_changes {
-            self.apply_change(i, v, &mut report);
+        for (k, &v) in pi_vector.iter().enumerate() {
+            let id = self.g.inputs()[k];
+            self.apply_change(id, v, &mut report);
         }
 
         // Propagate with unit delay.
-        let mut t = 1usize;
-        while t < self.wheel.len() {
+        for t in 1..self.wheel.len() {
             if self.wheel[t].is_empty() {
-                t += 1;
                 continue;
             }
-            let batch = std::mem::take(&mut self.wheel[t]);
+            std::mem::swap(&mut self.batch, &mut self.wheel[t]);
             // Two-phase update: every node scheduled at time t must see its
             // fanins as of time t-1, so evaluate the whole batch before
-            // committing any change.
-            let mut updates: Vec<(NodeId, bool)> = Vec::with_capacity(batch.len());
-            for id in batch {
+            // committing any change. Whether a node changes depends on the
+            // data, so the changed ones are collected without a branch:
+            // write every id, keep it only if the node changed.
+            let mut changed = 0;
+            for &id in &self.batch {
+                let i = id as usize;
                 // Clear the push-dedup mark so later re-schedules (and
                 // later cycles) can enqueue this node again.
-                if self.scheduled_at[id.index()] == t as u32 {
-                    self.scheduled_at[id.index()] = u32::MAX;
-                }
-                if let NodeKind::Logic { fanins, table } = &self.nl.node(id).kind {
-                    let mut row = 0u32;
-                    for (k, f) in fanins.iter().enumerate() {
-                        if self.values[f.index()] {
-                            row |= 1 << k;
-                        }
-                    }
-                    let new = table.eval(row);
-                    if new != self.values[id.index()] {
-                        updates.push((id, new));
-                    }
-                }
+                self.scheduled_at[i] = UNSCHEDULED;
+                self.updates[changed] = id;
+                changed += usize::from(self.g.lut(i, self.rows[i]) != self.values[i]);
             }
-            for (id, new) in updates {
-                self.values[id.index()] = new;
-                self.count_transition(id, &mut report);
-                self.schedule_fanouts(id, t + 1);
+            self.batch.clear();
+            for k in 0..changed {
+                self.commit(self.updates[k], t + 1, &mut report);
             }
-            t += 1;
         }
 
         // Functional/glitch split.
-        for &id in &self.touched {
-            if self.values[id.index()] != self.cycle_start[id.index()] {
-                report.functional += 1;
-            }
+        for &id in &self.touched[..self.touched_len] {
+            let i = id as usize;
+            report.functional += u64::from(self.values[i] != self.cycle_start[i]);
         }
         report.glitches = report.transitions - report.functional;
         self.stats.cycles += 1;
@@ -285,36 +317,34 @@ impl<'a> CycleSim<'a> {
         report
     }
 
-    fn apply_change(&mut self, id: NodeId, value: bool, report: &mut CycleReport) {
-        if self.values[id.index()] != value {
-            self.values[id.index()] = value;
-            self.count_transition(id, report);
-            self.schedule_fanouts(id, 1);
+    fn apply_change(&mut self, id: u32, value: bool, report: &mut CycleReport) {
+        if self.values[id as usize] != value {
+            self.commit(id, 1, report);
         }
     }
 
-    fn count_transition(&mut self, id: NodeId, report: &mut CycleReport) {
+    /// Flips node `id`, counts the transition, and schedules its logic
+    /// readers at `time` with their rows updated.
+    fn commit(&mut self, id: u32, time: usize, report: &mut CycleReport) {
+        let i = id as usize;
+        let old = self.values[i];
+        self.values[i] = !old;
         report.transitions += 1;
+        self.stats.per_node[i] += 1;
+        // The first change this cycle records the node and its start
+        // value, again without a data-dependent branch.
         let stamp = self.stats.cycles + 1;
-        if self.touch_stamp[id.index()] != stamp {
-            self.touch_stamp[id.index()] = stamp;
-            self.touched.push(id);
-        }
-        self.stats.per_node[id.index()] += 1;
-    }
-
-    fn schedule_fanouts(&mut self, id: NodeId, time: usize) {
-        let time = time.min(self.wheel.len() - 1);
-        // Latch data edges appear in fanouts but latches only sample at
-        // the clock edge, so only logic fanouts are scheduled. Index-based
-        // iteration keeps the borrow checker happy without allocating.
-        for k in 0..self.fanouts[id.index()].len() {
-            let fo = self.fanouts[id.index()][k];
-            if matches!(self.nl.node(fo).kind, NodeKind::Logic { .. })
-                && self.scheduled_at[fo.index()] != time as u32
-            {
-                self.scheduled_at[fo.index()] = time as u32;
-                self.wheel[time].push(fo);
+        let first = self.touch_stamp[i] != stamp;
+        self.touch_stamp[i] = stamp;
+        self.touched[self.touched_len] = id;
+        self.touched_len += usize::from(first);
+        self.cycle_start[i] = if first { old } else { self.cycle_start[i] };
+        for e in self.g.fanouts(i) {
+            let r = e.node as usize;
+            self.rows[r] ^= e.pins;
+            if self.scheduled_at[r] != time as u32 {
+                self.scheduled_at[r] = time as u32;
+                self.wheel[time].push(e.node);
             }
         }
     }
@@ -465,6 +495,93 @@ mod tests {
         nl.mark_output("o", g);
         let sim = CycleSim::new(&nl);
         sim.word(&bus);
+    }
+
+    /// Steps the zero-delay oracle, the scalar engine and a 3-lane slab
+    /// (every lane on the same vectors) through `vectors`, asserting after
+    /// every cycle that each engine's settled value of every node equals
+    /// the oracle's.
+    fn assert_engines_settle_like_the_evaluator(nl: &Netlist, vectors: &[Vec<bool>]) {
+        let mut ev = Evaluator::new(nl);
+        let mut scalar = CycleSim::new(nl);
+        let mut slab = crate::SlabSim::<1>::new(nl, 3);
+        for (c, v) in vectors.iter().enumerate() {
+            ev.step_clock();
+            for (&i, &b) in nl.inputs().iter().zip(v) {
+                ev.set_input(i, b);
+            }
+            ev.settle();
+            scalar.step(v);
+            let words: Vec<u64> = v.iter().map(|&b| if b { 0b111 } else { 0 }).collect();
+            slab.step(&words);
+            for (id, node) in nl.nodes() {
+                let want = ev.value(id);
+                assert_eq!(scalar.value(id), want, "cycle {c}: scalar {}", node.name);
+                for lane in 0..3 {
+                    assert_eq!(
+                        slab.value(id, lane),
+                        want,
+                        "cycle {c}: slab lane {lane} {}",
+                        node.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn logic_deeper_than_every_output_cone_settles_within_the_cycle() {
+        // Regression: the wheel was sized by `Netlist::depth()`, which
+        // covers only output and latch-data cones. The dead chain
+        // a -> n1 -> n2 -> n3 is deeper than the output `o = !a`, so
+        // n3's event was clamped into the last slot and finished in the
+        // next cycle: after cycle 0 the engines held n3 = 1 where the
+        // oracle settles 0, and cycle 3 counted a transition on n3
+        // although `a` did not change.
+        let mut nl = Netlist::new("dead");
+        let a = nl.add_input("a");
+        let o = nl.add_logic("o", vec![a], TruthTable::inverter());
+        let n1 = nl.add_logic("n1", vec![a], TruthTable::buffer());
+        let n2 = nl.add_logic("n2", vec![n1], TruthTable::inverter());
+        let n3 = nl.add_logic("n3", vec![n2], TruthTable::buffer());
+        nl.mark_output("o", o);
+        let a_at = [true, false, true, true, false, false];
+        let vectors: Vec<Vec<bool>> = a_at.iter().map(|&b| vec![b]).collect();
+        assert_engines_settle_like_the_evaluator(&nl, &vectors);
+        // n3 follows `a` exactly once per change of `a`: 4 changes.
+        let mut sim = CycleSim::new(&nl);
+        for v in &vectors {
+            sim.step(v);
+        }
+        assert_eq!(sim.stats().per_node[n3.index()], 4);
+        assert_eq!(
+            sim.stats().glitch_transitions,
+            0,
+            "every path has one arrival"
+        );
+    }
+
+    #[test]
+    fn wide_tables_and_repeated_fanins_settle_like_the_evaluator() {
+        // An 8-input node (a multi-word table, like an unmapped FSM
+        // control ROM) read through a latch and a downstream LUT, plus a
+        // node that reads one driver on two pins (one fanout edge whose
+        // pin mask flips both row bits).
+        let mut nl = Netlist::new("wide");
+        let ins: Vec<NodeId> = (0..7).map(|i| nl.add_input(format!("i{i}"))).collect();
+        let q = nl.add_latch("q", true);
+        let mut fanins = ins.clone();
+        fanins.push(q);
+        let rom = TruthTable::from_fn(8, |r| (r * 37 + r / 5) % 7 < 3 || r == 255);
+        let w = nl.add_logic("w", fanins, rom);
+        let x = nl.add_logic("x", vec![w, ins[0]], TruthTable::xor(2));
+        nl.set_latch_data(q, x);
+        nl.mark_output("o", x);
+        let y = nl.add_logic("y", vec![ins[1], x, ins[1]], TruthTable::mux2());
+        nl.mark_output("p", y);
+        let mut src = crate::VectorSource::new(5);
+        let vectors: Vec<Vec<bool>> = (0..200).map(|_| src.next_vector(7)).collect();
+        assert_engines_settle_like_the_evaluator(&nl, &vectors);
     }
 
     #[test]

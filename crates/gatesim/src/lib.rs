@@ -15,6 +15,20 @@
 //!   whose fanins are quiescent. Lane `L` is bit-exact with the scalar
 //!   run seeded [`lane_seed`]`(seed, L)`.
 //!
+//! Both unit-delay engines run on one **compiled simulation graph**,
+//! built once per netlist when an engine is constructed: CSR fanins,
+//! logic-only fanouts with a pin mask per edge, inline truth-table words
+//! (tables wider than 6 inputs, such as unmapped FSM control ROMs, keep
+//! their extra words aside), latch `(Q, D)` pairs, and an event wheel
+//! with one slot per logic level up to the deepest logic node anywhere in
+//! the netlist. A step matches on no node kind and reuses its buffers
+//! from step to step instead of allocating.
+//! The scalar engine keeps each LUT's packed fanin row current by XOR-ing
+//! a driver's pin mask into its readers' rows whenever it commits a
+//! change, so evaluating a LUT is one shift of its table word. The
+//! [`Evaluator`] stays on the netlist itself, so it remains an oracle
+//! independent of the graph for both engines.
+//!
 //! Together with the seeded vector drivers ([`run_random`], [`run_with`])
 //! this substitutes for the paper's Quartus II simulation + PowerPlay
 //! toggle measurement: the unit-delay model is the same delay model the
@@ -43,6 +57,7 @@
 
 pub mod eval;
 pub mod event;
+mod graph;
 pub mod slabsim;
 pub mod vcd;
 pub mod vectors;

@@ -59,9 +59,11 @@
 //! ```
 
 use crate::eval::Evaluator;
-use crate::event::{CycleReport, SimStats};
+use crate::event::{CycleReport, SimStats, UNSCHEDULED};
+use crate::graph::SimGraph;
 use crate::vectors::SlabVectorSource;
-use netlist::{Netlist, NodeId, NodeKind, TruthTable};
+use netlist::{Netlist, NodeId};
+use std::marker::PhantomData;
 
 /// Maximum number of slab words per node (the dirty mask is a `u8`).
 pub const MAX_SLAB_WORDS: usize = 8;
@@ -95,25 +97,43 @@ impl SlabActivity {
     }
 }
 
+/// Calls `f` with every row on which a truth table, given as its words
+/// (row `r` is bit `r % 64` of word `r / 64`), is true — walking the set
+/// bits, so false rows cost nothing and no branch tests a row's value.
+/// [`netlist::TruthTable`] keeps the bits past its last row clear, so
+/// every set bit is a row.
+fn for_each_true_row(table: &[u64], mut f: impl FnMut(u32)) {
+    for (i, &word) in table.iter().enumerate() {
+        let mut rows = word;
+        while rows != 0 {
+            f((i as u32) << 6 | rows.trailing_zeros());
+            rows &= rows - 1;
+        }
+    }
+}
+
+/// The word to XOR a fanin with for row `row`: 0 where the row reads the
+/// fanin as 1, all ones where it reads it as 0 (so the AND takes `!w`).
+fn row_flip(row: u32, k: usize) -> u64 {
+    u64::from((row >> k) & 1 == 0).wrapping_neg()
+}
+
 /// Evaluates one truth table bitwise across the lanes of one slab word:
 /// OR over the true rows of the AND of each fanin word (inverted where
 /// the row has a 0). `mask` limits the result to the active lanes. This
 /// is the sparse path's per-word kernel.
-fn eval_word(table: &TruthTable, fanins: &[u64], mask: u64) -> u64 {
+fn eval_word(table: &[u64], fanins: &[u64], mask: u64) -> u64 {
     let mut out = 0u64;
-    for row in 0..(1u32 << fanins.len()) {
-        if !table.eval(row) {
-            continue;
-        }
+    for_each_true_row(table, |row| {
         let mut m = mask;
         for (k, &w) in fanins.iter().enumerate() {
-            m &= if (row >> k) & 1 == 1 { w } else { !w };
+            m &= w ^ row_flip(row, k);
             if m == 0 {
                 break;
             }
         }
         out |= m;
-    }
+    });
     out
 }
 
@@ -123,28 +143,20 @@ fn eval_word(table: &TruthTable, fanins: &[u64], mask: u64) -> u64 {
 /// The `W`-word inner loops are straight-line with a const trip count,
 /// so the compiler unrolls and autovectorizes them — this is the dense
 /// (all-words-dirty) fast path.
-fn eval_slab<const W: usize>(table: &TruthTable, fanins: &[[u64; W]], mask: &[u64; W]) -> [u64; W] {
+fn eval_slab<const W: usize>(table: &[u64], fanins: &[[u64; W]], mask: &[u64; W]) -> [u64; W] {
     let mut out = [0u64; W];
-    for row in 0..(1u32 << fanins.len()) {
-        if !table.eval(row) {
-            continue;
-        }
+    for_each_true_row(table, |row| {
         let mut m = *mask;
         for (k, fw) in fanins.iter().enumerate() {
-            if (row >> k) & 1 == 1 {
-                for w in 0..W {
-                    m[w] &= fw[w];
-                }
-            } else {
-                for w in 0..W {
-                    m[w] &= !fw[w];
-                }
+            let flip = row_flip(row, k);
+            for w in 0..W {
+                m[w] &= fw[w] ^ flip;
             }
         }
         for w in 0..W {
             out[w] |= m[w];
         }
-    }
+    });
     out
 }
 
@@ -155,34 +167,42 @@ fn eval_slab<const W: usize>(table: &TruthTable, fanins: &[[u64; W]], mask: &[u6
 /// simultaneously: latches capture their `D` slabs and primary inputs
 /// take their new slabs at time 0, then changes propagate with one unit
 /// of delay per logic level — the event wheel and two-phase time slots
-/// of [`crate::CycleSim`] — while per-lane transitions are accumulated.
-/// Evaluation only touches the slab words whose fanins changed.
+/// of [`crate::CycleSim`], on the same compiled graph — while per-lane
+/// transitions are accumulated. Evaluation only touches the slab words
+/// whose fanins changed.
 #[derive(Debug)]
 pub struct SlabSim<'a, const W: usize> {
-    nl: &'a Netlist,
-    fanouts: Vec<Vec<NodeId>>,
+    g: SimGraph,
     lanes: usize,
     mask: [u64; W],
     /// Dirty bits covering every word with at least one active lane.
     full_dirty: u8,
     /// Node-major value slabs: `values[id * W + w]`.
     values: Vec<u64>,
+    /// Each node's slab when the current step first changed it (read only
+    /// for nodes in `touched`).
     cycle_start: Vec<u64>,
     stats: SimStats,
     steps_done: u64,
     // time wheel state (mirrors `CycleSim`)
-    wheel: Vec<Vec<NodeId>>,
+    wheel: Vec<Vec<u32>>,
     scheduled_at: Vec<u32>,
-    touched: Vec<NodeId>,
+    touched: Vec<u32>,
     touch_stamp: Vec<u64>,
     /// Per-node accumulated dirty-word bitmask (bit `w` = some fanin's
     /// word `w` changed since this node was last evaluated).
     dirty: Vec<u8>,
-    // scratch for the per-node fanin slabs / single words
+    // per-step scratch, reused from step to step: the batch being
+    // evaluated, its changed slabs, the latch captures, and the per-node
+    // fanin slabs / single words
+    batch: Vec<u32>,
+    updates: Vec<(u32, [u64; W], u8)>,
+    captured: Vec<[u64; W]>,
     fanin_slabs: Vec<[u64; W]>,
     fanin_words: Vec<u64>,
     words_evaluated: u64,
     words_offered: u64,
+    netlist: PhantomData<&'a Netlist>,
 }
 
 impl<'a, const W: usize> SlabSim<'a, W> {
@@ -222,35 +242,39 @@ impl<'a, const W: usize> SlabSim<'a, W> {
         // The zero-delay oracle validates the netlist and provides the
         // settled initial state, broadcast into every active lane.
         let ev = Evaluator::new(nl);
-        let mut values = vec![0u64; nl.num_nodes() * W];
+        let n = nl.num_nodes();
+        let mut values = vec![0u64; n * W];
         for (id, &v) in ev.values().iter().enumerate() {
             if v {
                 values[id * W..id * W + W].copy_from_slice(&mask);
             }
         }
-        let depth = nl.depth() as usize;
+        let g = SimGraph::new(nl);
         SlabSim {
-            nl,
-            fanouts: nl.fanouts(),
+            wheel: vec![Vec::new(); g.wheel_len()],
+            g,
             lanes,
             mask,
             full_dirty,
-            cycle_start: values.clone(),
+            cycle_start: vec![0; n * W],
             values,
             stats: SimStats {
-                per_node: vec![0; nl.num_nodes()],
+                per_node: vec![0; n],
                 ..SimStats::default()
             },
             steps_done: 0,
-            wheel: vec![Vec::new(); depth + 2],
-            scheduled_at: vec![u32::MAX; nl.num_nodes()],
+            scheduled_at: vec![UNSCHEDULED; n],
             touched: Vec::new(),
-            touch_stamp: vec![0; nl.num_nodes()],
-            dirty: vec![0; nl.num_nodes()],
+            touch_stamp: vec![0; n],
+            dirty: vec![0; n],
+            batch: Vec::new(),
+            updates: Vec::new(),
+            captured: Vec::new(),
             fanin_slabs: Vec::new(),
             fanin_words: Vec::new(),
             words_evaluated: 0,
             words_offered: 0,
+            netlist: PhantomData,
         }
     }
 
@@ -322,124 +346,105 @@ impl<'a, const W: usize> SlabSim<'a, W> {
     ///
     /// Panics if `pi_slabs.len()` differs from `inputs × W`.
     pub fn step(&mut self, pi_slabs: &[u64]) -> CycleReport {
-        let inputs = self.nl.inputs();
         assert_eq!(
             pi_slabs.len(),
-            inputs.len() * W,
+            self.g.inputs().len() * W,
             "{W} slab word(s) per primary input"
         );
-        self.cycle_start.copy_from_slice(&self.values);
         self.touched.clear();
         self.steps_done += 1;
 
         let mut report = CycleReport::default();
-        // Time 0: latch capture + new PI slabs, simultaneously.
-        let captured: Vec<(NodeId, [u64; W])> = self
-            .nl
-            .latches()
-            .iter()
-            .map(|&l| match &self.nl.node(l).kind {
-                NodeKind::Latch { data, .. } => (l, self.slab(*data)),
-                _ => unreachable!(),
-            })
-            .collect();
-        for (l, slab) in captured {
-            self.apply_change(l, slab, &mut report);
+        // Time 0: latch capture + new PI slabs, simultaneously. Every D
+        // is read before any Q changes.
+        self.captured.clear();
+        for &(_, d) in self.g.latches() {
+            self.captured.push(slab_of(&self.values, d as usize));
         }
-        let pi_changes: Vec<(NodeId, [u64; W])> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                let mut slab = [0u64; W];
-                slab.copy_from_slice(&pi_slabs[i * W..i * W + W]);
-                (id, slab)
-            })
-            .collect();
-        for (i, slab) in pi_changes {
-            self.apply_change(i, slab, &mut report);
+        for k in 0..self.captured.len() {
+            let q = self.g.latches()[k].0;
+            self.apply_change(q, self.captured[k], &mut report);
+        }
+        for k in 0..self.g.inputs().len() {
+            let id = self.g.inputs()[k];
+            self.apply_change(id, slab_of(pi_slabs, k), &mut report);
         }
 
         // Propagate with unit delay; two-phase per time slot so every node
         // scheduled at time t sees its fanins as of time t-1 (in every
         // lane), exactly like the scalar simulator.
-        let mut t = 1usize;
-        while t < self.wheel.len() {
+        for t in 1..self.wheel.len() {
             if self.wheel[t].is_empty() {
-                t += 1;
                 continue;
             }
-            let batch = std::mem::take(&mut self.wheel[t]);
-            let mut updates: Vec<(NodeId, [u64; W], u8)> = Vec::with_capacity(batch.len());
-            for id in batch {
-                if self.scheduled_at[id.index()] == t as u32 {
-                    self.scheduled_at[id.index()] = u32::MAX;
-                }
-                let d = std::mem::take(&mut self.dirty[id.index()]);
+            std::mem::swap(&mut self.batch, &mut self.wheel[t]);
+            for &id in &self.batch {
+                let i = id as usize;
+                self.scheduled_at[i] = UNSCHEDULED;
+                let d = std::mem::take(&mut self.dirty[i]);
                 if d == 0 {
                     continue;
                 }
-                if let NodeKind::Logic { fanins, table } = &self.nl.node(id).kind {
-                    self.words_offered += W as u64;
-                    let base = id.index() * W;
-                    if d == self.full_dirty {
-                        // Dense path: every active word has dirty fanins —
-                        // evaluate the whole slab with the vectorized
-                        // kernel.
-                        self.words_evaluated += W as u64;
-                        self.fanin_slabs.clear();
-                        for f in fanins {
-                            let fb = f.index() * W;
-                            let mut slab = [0u64; W];
-                            slab.copy_from_slice(&self.values[fb..fb + W]);
-                            self.fanin_slabs.push(slab);
+                self.words_offered += W as u64;
+                let fanins = self.g.fanins(i);
+                let table = self.g.table(i);
+                let base = i * W;
+                if d == self.full_dirty {
+                    // Dense path: every active word has dirty fanins —
+                    // evaluate the whole slab with the vectorized kernel.
+                    self.words_evaluated += W as u64;
+                    self.fanin_slabs.clear();
+                    for &f in fanins {
+                        self.fanin_slabs.push(slab_of(&self.values, f as usize));
+                    }
+                    let new = eval_slab(table, &self.fanin_slabs, &self.mask);
+                    let mut changed = 0u8;
+                    for (w, &nw) in new.iter().enumerate() {
+                        if nw != self.values[base + w] {
+                            changed |= 1 << w;
                         }
-                        let new = eval_slab(table, &self.fanin_slabs, &self.mask);
-                        let mut changed = 0u8;
-                        for (w, &nw) in new.iter().enumerate() {
-                            if nw != self.values[base + w] {
-                                changed |= 1 << w;
-                            }
+                    }
+                    if changed != 0 {
+                        self.updates.push((id, new, changed));
+                    }
+                } else {
+                    // Sparse path: recompute only the dirty words. A word
+                    // in which no fanin changed re-evaluates to its
+                    // current value, so skipping it is exact.
+                    self.words_evaluated += u64::from(d.count_ones());
+                    let mut new = slab_of(&self.values, i);
+                    let mut changed = 0u8;
+                    let mut rest = d;
+                    while rest != 0 {
+                        let w = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        self.fanin_words.clear();
+                        self.fanin_words
+                            .extend(fanins.iter().map(|&f| self.values[f as usize * W + w]));
+                        let nw = eval_word(table, &self.fanin_words, self.mask[w]);
+                        if nw != new[w] {
+                            new[w] = nw;
+                            changed |= 1 << w;
                         }
-                        if changed != 0 {
-                            updates.push((id, new, changed));
-                        }
-                    } else {
-                        // Sparse path: recompute only the dirty words. A
-                        // word in which no fanin changed re-evaluates to
-                        // its current value, so skipping it is exact.
-                        self.words_evaluated += u64::from(d.count_ones());
-                        let mut new = self.slab(id);
-                        let mut changed = 0u8;
-                        let mut rest = d;
-                        while rest != 0 {
-                            let w = rest.trailing_zeros() as usize;
-                            rest &= rest - 1;
-                            self.fanin_words.clear();
-                            self.fanin_words
-                                .extend(fanins.iter().map(|f| self.values[f.index() * W + w]));
-                            let nw = eval_word(table, &self.fanin_words, self.mask[w]);
-                            if nw != new[w] {
-                                new[w] = nw;
-                                changed |= 1 << w;
-                            }
-                        }
-                        if changed != 0 {
-                            updates.push((id, new, changed));
-                        }
+                    }
+                    if changed != 0 {
+                        self.updates.push((id, new, changed));
                     }
                 }
             }
-            for (id, new, changed) in updates {
+            self.batch.clear();
+            for k in 0..self.updates.len() {
+                let (id, new, changed) = self.updates[k];
                 self.apply_update(id, new, changed, t + 1, &mut report);
             }
-            t += 1;
+            self.updates.clear();
         }
 
         // Functional/glitch split, per lane: a lane whose settled value
         // differs from its value at cycle start contributes one functional
         // transition.
         for &id in &self.touched {
-            let base = id.index() * W;
+            let base = id as usize * W;
             for w in 0..W {
                 let diff = (self.values[base + w] ^ self.cycle_start[base + w]) & self.mask[w];
                 report.functional += u64::from(diff.count_ones());
@@ -453,15 +458,8 @@ impl<'a, const W: usize> SlabSim<'a, W> {
         report
     }
 
-    fn slab(&self, id: NodeId) -> [u64; W] {
-        let base = id.index() * W;
-        let mut slab = [0u64; W];
-        slab.copy_from_slice(&self.values[base..base + W]);
-        slab
-    }
-
-    fn apply_change(&mut self, id: NodeId, slab: [u64; W], report: &mut CycleReport) {
-        let base = id.index() * W;
+    fn apply_change(&mut self, id: u32, slab: [u64; W], report: &mut CycleReport) {
+        let base = id as usize * W;
         let mut changed = 0u8;
         for (w, &sw) in slab.iter().enumerate() {
             if (sw & self.mask[w]) != self.values[base + w] {
@@ -475,13 +473,19 @@ impl<'a, const W: usize> SlabSim<'a, W> {
 
     fn apply_update(
         &mut self,
-        id: NodeId,
+        id: u32,
         slab: [u64; W],
         changed: u8,
         time: usize,
         report: &mut CycleReport,
     ) {
-        let base = id.index() * W;
+        let i = id as usize;
+        let base = i * W;
+        if self.touch_stamp[i] != self.steps_done {
+            self.touch_stamp[i] = self.steps_done;
+            self.cycle_start[base..base + W].copy_from_slice(&self.values[base..base + W]);
+            self.touched.push(id);
+        }
         let mut flips = 0u64;
         for (w, &sw) in slab.iter().enumerate() {
             let new = sw & self.mask[w];
@@ -489,30 +493,26 @@ impl<'a, const W: usize> SlabSim<'a, W> {
             self.values[base + w] = new;
         }
         report.transitions += flips;
-        self.stats.per_node[id.index()] += flips;
-        if self.touch_stamp[id.index()] != self.steps_done {
-            self.touch_stamp[id.index()] = self.steps_done;
-            self.touched.push(id);
-        }
-        self.schedule_fanouts(id, changed, time);
-    }
-
-    fn schedule_fanouts(&mut self, id: NodeId, changed: u8, time: usize) {
-        let time = time.min(self.wheel.len() - 1);
-        for k in 0..self.fanouts[id.index()].len() {
-            let fo = self.fanouts[id.index()][k];
-            if matches!(self.nl.node(fo).kind, NodeKind::Logic { .. }) {
-                // The dirty mask accumulates even when the node is already
-                // scheduled for this slot — two fanins changing different
-                // words must both be visible at evaluation time.
-                self.dirty[fo.index()] |= changed;
-                if self.scheduled_at[fo.index()] != time as u32 {
-                    self.scheduled_at[fo.index()] = time as u32;
-                    self.wheel[time].push(fo);
-                }
+        self.stats.per_node[i] += flips;
+        for e in self.g.fanouts(i) {
+            let r = e.node as usize;
+            // The dirty mask accumulates even when the node is already
+            // scheduled for this slot — two fanins changing different
+            // words must both be visible at evaluation time.
+            self.dirty[r] |= changed;
+            if self.scheduled_at[r] != time as u32 {
+                self.scheduled_at[r] = time as u32;
+                self.wheel[time].push(e.node);
             }
         }
     }
+}
+
+/// The `W`-word slab of slot `k` in a slot-major word array.
+fn slab_of<const W: usize>(words: &[u64], k: usize) -> [u64; W] {
+    let mut slab = [0u64; W];
+    slab.copy_from_slice(&words[k * W..k * W + W]);
+    slab
 }
 
 fn run_slab<const W: usize>(
@@ -650,7 +650,7 @@ mod tests {
                 *w |= u64::from((row >> k) & 1) << row;
             }
         }
-        let out = eval_word(&xor3, &fanins, 0xFF);
+        let out = eval_word(xor3.words(), &fanins, 0xFF);
         for row in 0..8u32 {
             assert_eq!((out >> row) & 1 == 1, xor3.eval(row), "row {row}");
         }
@@ -664,10 +664,10 @@ mod tests {
             .map(|_| [rng.gen(), rng.gen(), rng.gen(), rng.gen()])
             .collect();
         let mask = [u64::MAX, u64::MAX, u64::MAX, 0xFFFF];
-        let out = eval_slab(&xor3, &fanins, &mask);
+        let out = eval_slab(xor3.words(), &fanins, &mask);
         for w in 0..4 {
             let words: Vec<u64> = fanins.iter().map(|f| f[w]).collect();
-            assert_eq!(out[w], eval_word(&xor3, &words, mask[w]), "word {w}");
+            assert_eq!(out[w], eval_word(xor3.words(), &words, mask[w]), "word {w}");
         }
     }
 
