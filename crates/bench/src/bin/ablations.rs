@@ -40,8 +40,9 @@ fn main() {
     // the K sweep keeps the elaborated datapath, and the measured
     // FlowResult is reused as the glitch-aware / external-control
     // reference below.
+    let flow = args.flow();
     let service = args.service();
-    let pipeline = service.pipeline_for(&args.flow);
+    let pipeline = service.pipeline_for(&flow);
     let zd_results = run_on(
         &pipeline,
         small,
@@ -61,11 +62,11 @@ fn main() {
             &prep.sched,
             &prep.rb,
             &outcome.fb,
-            &DatapathConfig::with_width(args.flow.width),
+            &DatapathConfig::with_width(flow.width),
         );
         let mut cells = vec![g.name().to_string()];
         for k in [4usize, 5, 6] {
-            let m = map(&dp.netlist, &MapConfig::new(k, args.flow.map_objective));
+            let m = map(&dp.netlist, &MapConfig::new(k, flow.map_objective));
             cells.push(format!("{} LUTs/d{}", m.stats.luts, m.stats.depth));
         }
         rows.push(cells);
@@ -102,7 +103,7 @@ fn main() {
     println!("=== Ablation 3: on-chip FSM controller vs external control ===");
     let fsm_pipeline = service.pipeline_for(&FlowConfig {
         control: ControlStyle::Fsm,
-        ..args.flow.clone()
+        ..flow.clone()
     });
     let fsm_results = run_on(&fsm_pipeline, small, &[binder], args.jobs);
     let mut rows = Vec::new();
@@ -139,7 +140,7 @@ fn main() {
                 lifetime: cdfg::LifetimeOptions {
                     latch_inputs: false,
                 },
-                seed: args.flow.port_seed,
+                seed: flow.port_seed,
             },
         );
         let prep_le = Prepared {
@@ -182,7 +183,7 @@ fn main() {
             addsub_latency: 1,
             mul_latency: 2,
         },
-        ..args.flow.clone()
+        ..flow.clone()
     });
     let multi_results = run_on(&multi_pipeline, small, &[binder], args.jobs);
     let mut rows = Vec::new();

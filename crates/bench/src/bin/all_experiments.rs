@@ -1,6 +1,8 @@
 //! Runs the complete experiment suite (Tables 1–4, Figure 3, and the
 //! baseline-strength ablation) in one pipeline pass and prints a combined
-//! report. This is the binary behind EXPERIMENTS.md.
+//! report. Its `--paper-exact` stdout is committed as
+//! `tests/golden/all_experiments_paper_exact.txt`, which CI compares
+//! every build against; README "Deviations from the paper" quotes it.
 //!
 //! Every benchmark × binder job runs through the shared [`hlpower::Pipeline`]:
 //! schedules and register bindings are computed once per benchmark, SA

@@ -2,7 +2,7 @@
 //! edges). PI/PO/add/mult counts match the paper exactly by construction;
 //! the edge column shows the paper's count next to our structural count
 //! (`2·ops + POs`; the original CDFG format counted additional edge kinds
-//! — see DESIGN.md).
+//! that the paper does not define, so the column is shown, not matched).
 //!
 //! ```text
 //! cargo run --release -p hlpower-bench --bin table1

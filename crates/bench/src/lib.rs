@@ -14,7 +14,7 @@
 #![warn(missing_docs)]
 
 use cdfg::{Cdfg, ResourceConstraint};
-use hlpower::api::{JobRequest, Service};
+use hlpower::api::{JobRequest, JobSource, KnobError, Service};
 use hlpower::{paper_constraint, ArtifactStore, Binder, FlowConfig, FlowResult, Pipeline};
 use std::fmt;
 use std::sync::Arc;
@@ -101,12 +101,17 @@ impl fmt::Display for Shard {
 /// shard stores with `hlp merge` — sharding straight into one
 /// `remote:` store needs no merge step).
 ///
-/// Malformed values report the offending flag and value on stderr and
-/// exit 2 (the usage exit code); runtime failures exit 1.
+/// The flow knobs are set through the request-key table
+/// ([`JobRequest::set`]), so they are bounded exactly as the wire's
+/// `key=value` pairs. Malformed values report the offending flag and
+/// value on stderr and exit 2 (the usage exit code); runtime failures
+/// exit 1.
 #[derive(Clone, Debug)]
 pub struct Args {
-    /// Flow configuration assembled from the flags.
-    pub flow: FlowConfig,
+    /// The request every job starts from, holding the knobs the flags
+    /// set; [`Args::request_for`] fills in the benchmark, constraint and
+    /// binder.
+    pub template: JobRequest,
     /// Benchmark name filter (empty = whole suite).
     pub only: Vec<String>,
     /// Binder filter (empty = the binary's default set).
@@ -126,19 +131,23 @@ fn bad_value(flag: &str, value: &str, expected: &str) -> ! {
     usage()
 }
 
-fn parsed<T: std::str::FromStr>(flag: &str, value: &str, expected: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| bad_value(flag, value, expected))
+/// Sets request knob `key` from `flag`'s value through
+/// [`JobRequest::set`], exiting with the usage code on a refusal.
+fn set_knob(req: &mut JobRequest, flag: &str, key: &str, value: &str) {
+    match req.set(key, value) {
+        Ok(()) => {}
+        Err(KnobError::Expected(what)) => bad_value(flag, value, &what),
+        Err(KnobError::UnknownKey) => {
+            eprintln!("unknown flag `{flag}`");
+            usage()
+        }
+    }
 }
 
 impl Args {
     /// Parses `std::env::args`, exiting with a usage message on error.
     pub fn parse() -> Args {
-        let mut flow = FlowConfig {
-            lanes: DEFAULT_LANES,
-            ..FlowConfig::default()
-        };
+        let mut template = JobRequest::suite("").lanes(DEFAULT_LANES);
         let mut only = Vec::new();
         let mut binders = Vec::new();
         let mut jobs = default_jobs();
@@ -158,55 +167,35 @@ impl Args {
                     .clone()
             };
             match flag.as_str() {
-                "--width" => {
-                    let v = take_value(&mut i);
-                    flow.width = parsed(&flag, &v, "an integer in 1..=64");
-                    if flow.width == 0 || flow.width > 64 {
-                        // Word-level buses are u64.
-                        bad_value(&flag, &v, "an integer in 1..=64");
-                    }
-                }
-                "--sa-width" => flow.sa_width = parsed(&flag, &take_value(&mut i), "an integer"),
-                "--cycles" => flow.sim_cycles = parsed(&flag, &take_value(&mut i), "an integer"),
-                "--lanes" => {
-                    // 0 and 1 = scalar reference engine, 2..=512 =
-                    // bit-sliced slab engine.
-                    let v = take_value(&mut i);
-                    flow.lanes = parsed(&flag, &v, "a lane count in 0..=512");
-                    if flow.lanes > gatesim::MAX_SLAB_LANES {
-                        bad_value(&flag, &v, "a lane count in 0..=512");
-                    }
-                }
+                "--width" => set_knob(&mut template, &flag, "width", &take_value(&mut i)),
+                "--sa-width" => set_knob(&mut template, &flag, "sa-width", &take_value(&mut i)),
+                "--cycles" => set_knob(&mut template, &flag, "cycles", &take_value(&mut i)),
+                "--lanes" => set_knob(&mut template, &flag, "lanes", &take_value(&mut i)),
                 "--paper-exact" => {
                     // The paper's tables: one vector stream, byte-identical
                     // to the scalar reference engine. (Position-sensitive
                     // with --lanes: the later flag wins.)
-                    flow.lanes = 1;
+                    template.lanes = 1;
                 }
                 "--seed" => {
                     // One seed flag controls the whole stochastic setup:
                     // simulation vectors *and* the register binding's
                     // random port assignment.
-                    let seed = parsed(&flag, &take_value(&mut i), "an integer");
-                    flow.sim_seed = seed;
-                    flow.port_seed = seed;
+                    let seed = take_value(&mut i);
+                    set_knob(&mut template, &flag, "sim-seed", &seed);
+                    set_knob(&mut template, &flag, "port-seed", &seed);
                 }
                 "--jobs" => {
                     let v = take_value(&mut i);
-                    jobs = parsed(&flag, &v, "a positive integer");
-                    if jobs == 0 {
-                        bad_value(&flag, &v, "a positive integer");
-                    }
+                    jobs = v
+                        .parse()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .unwrap_or_else(|| bad_value(&flag, &v, "a positive integer"));
                 }
                 "--binder" => {
-                    let spec = take_value(&mut i);
-                    binders.push(Binder::parse(&spec).unwrap_or_else(|| {
-                        bad_value(
-                            &flag,
-                            &spec,
-                            "lopass | lopass-ic | lopass-sa | hlpower[:ALPHA] | hlpower-zd[:ALPHA]",
-                        )
-                    }));
+                    set_knob(&mut template, &flag, "binder", &take_value(&mut i));
+                    binders.push(template.binder);
                 }
                 "--bench" => only.push(take_value(&mut i)),
                 "--store" => store = Some(take_value(&mut i)),
@@ -216,9 +205,9 @@ impl Args {
                         .unwrap_or_else(|| bad_value(&flag, &spec, "i/N with i < N"));
                 }
                 "--fast" => {
-                    flow.width = 8;
-                    flow.sa_width = 6;
-                    flow.sim_cycles = 300;
+                    template.width = 8;
+                    template.sa_width = 6;
+                    template.cycles = 300;
                 }
                 "--help" | "-h" => usage(),
                 other => {
@@ -233,13 +222,19 @@ impl Args {
             usage();
         }
         Args {
-            flow,
+            template,
             only,
             binders,
             jobs,
             store,
             shard,
         }
+    }
+
+    /// The flow configuration the flags select: the template request's
+    /// knobs on top of [`FlowConfig::default`].
+    pub fn flow(&self) -> FlowConfig {
+        self.template.flow_config(&FlowConfig::default())
     }
 
     /// The benchmark suite (optionally filtered), paired with the paper's
@@ -267,18 +262,12 @@ impl Args {
 
     /// The [`JobRequest`] for one suite benchmark under these flags.
     pub fn request_for(&self, bench: &str, rc: &ResourceConstraint, binder: Binder) -> JobRequest {
-        let mut req = JobRequest::suite(bench)
-            .width(self.flow.width)
-            .sa_width(self.flow.sa_width)
-            .constraint(rc.addsub, rc.mul)
-            .binder(binder)
-            .cycles(self.flow.sim_cycles)
-            .lanes(self.flow.lanes)
-            .sa_mode(self.flow.sa_mode)
-            .fsm(matches!(self.flow.control, hlpower::ControlStyle::Fsm));
-        req.sim_seed = self.flow.sim_seed;
-        req.port_seed = self.flow.port_seed;
-        req
+        JobRequest {
+            source: JobSource::Suite(bench.to_string()),
+            constraint: Some((rc.addsub, rc.mul)),
+            binder,
+            ..self.template.clone()
+        }
     }
 
     /// The row-major `suite × binders` request matrix — what
@@ -305,7 +294,7 @@ impl Args {
     /// hot store of an `hlp serve` daemon (exiting with a message if the
     /// directory cannot be created or no daemon answers).
     pub fn service(&self) -> Service {
-        let service = Service::new().with_template(self.flow.clone());
+        let service = Service::new().with_template(self.flow());
         match &self.store {
             Some(spec) => {
                 let store = ArtifactStore::open_spec(spec).unwrap_or_else(|e| {
@@ -518,8 +507,8 @@ pub fn pct_change(from: f64, to: f64) -> f64 {
 /// LOPASS/HLPower, clock ns LOPASS/HLPower, LUTs LOPASS/HLPower)`.
 pub type PaperTable3Row = (&'static str, (f64, f64), (f64, f64), (u32, u32));
 
-/// The paper's Table 3 reference numbers for side-by-side reporting in
-/// EXPERIMENTS.md.
+/// The paper's Table 3 reference numbers, printed beside the measured
+/// ones by `all_experiments`.
 pub const PAPER_TABLE3: [PaperTable3Row; 7] = [
     ("chem", (1602.3, 1468.6), (26.0, 27.5), (9806, 9613)),
     ("dir", (709.1, 405.8), (23.8, 24.2), (4527, 3453)),
@@ -658,15 +647,12 @@ mod tests {
     #[test]
     fn request_matrix_is_row_major_and_flag_faithful() {
         let args = Args {
-            flow: FlowConfig {
-                width: 8,
-                sa_width: 6,
-                sim_cycles: 300,
-                lanes: 16,
-                sim_seed: 7,
-                port_seed: 7,
-                ..FlowConfig::default()
-            },
+            template: JobRequest::suite("")
+                .width(8)
+                .sa_width(6)
+                .cycles(300)
+                .lanes(16)
+                .seed(7),
             only: vec![],
             binders: vec![],
             jobs: 1,

@@ -11,8 +11,10 @@
 //!
 //! The paper's "Total No. of Edges" column is recorded for reference; the
 //! original CDFG format evidently counted edges beyond the two data inputs
-//! per operation (our structural count is `2·ops + outputs`), so the edge
-//! column is reported side by side rather than matched (see DESIGN.md).
+//! per operation (our structural count is `2·ops + outputs`). The paper
+//! does not say which extra edges it counts, and no stage after Table 1
+//! reads the count, so the edge column is reported side by side rather
+//! than matched: fitting it would fit a number without a definition.
 
 use crate::graph::{Cdfg, OpKind, VarId};
 use rand::rngs::StdRng;

@@ -25,8 +25,8 @@ pub mod service;
 
 pub use proto::{
     escape, fetch_fsck_status, fetch_stats, request, request_batch, stop_daemon, unescape,
-    Endpoint, FsckStatus, JobReport, JobRequest, JobSource, RequestError, StatsSnapshot, VerbStats,
-    BATCH_REFUSED, LATENCY_BUCKETS_US, MAX_BATCH_JOBS, MAX_REQUEST_LINE, STAT_VERBS,
+    Endpoint, FsckStatus, JobReport, JobRequest, JobSource, KnobError, RequestError, StatsSnapshot,
+    VerbStats, BATCH_REFUSED, LATENCY_BUCKETS_US, MAX_BATCH_JOBS, MAX_REQUEST_LINE, STAT_VERBS,
 };
 pub use server::{ServeOptions, Server};
 pub use service::{Service, ServiceError};

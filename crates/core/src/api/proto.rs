@@ -150,7 +150,7 @@ pub struct JobRequest {
     pub source: JobSource,
     /// Datapath word width in bits (1..=64).
     pub width: usize,
-    /// SA precalculation-table width.
+    /// SA precalculation-table width (1..=64).
     pub sa_width: usize,
     /// Resource constraint `(adders, mults)`; `None` = source default.
     pub constraint: Option<(usize, usize)>,
@@ -354,11 +354,96 @@ impl JobRequest {
         )
     }
 
+    /// Sets one knob from its wire text: the one table of request keys,
+    /// each with its parser and bounds. [`JobRequest::parse_line`], `hlp`
+    /// and the experiment binaries all set knobs through it, so the
+    /// three surfaces accept and refuse the same values. Checks that need
+    /// the whole request (at least one cycle and one unit per class, a
+    /// valid inline CDFG) stay in [`JobRequest::resolve`].
+    ///
+    /// # Errors
+    ///
+    /// [`KnobError::UnknownKey`] for a key outside the table, else
+    /// [`KnobError::Expected`] with what the key accepts. A refused pair
+    /// leaves the request unchanged.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), KnobError> {
+        fn parsed<T: std::str::FromStr>(
+            value: &str,
+            bound: impl Fn(&T) -> bool,
+            what: &str,
+        ) -> Result<T, KnobError> {
+            value
+                .parse()
+                .ok()
+                .filter(bound)
+                .ok_or_else(|| KnobError::Expected(what.to_string()))
+        }
+        let expected = |what: &str| KnobError::Expected(what.to_string());
+        // Word-level buses are u64.
+        let word = |w: &usize| (1..=64).contains(w);
+        let any = |_: &u64| true;
+        match key {
+            "source" => {
+                let source = if let Some(name) = value.strip_prefix("bench:") {
+                    unescape(name).map(JobSource::Suite)
+                } else if let Some(text) = value.strip_prefix("cdfg:") {
+                    unescape(text).map(JobSource::CdfgText)
+                } else {
+                    return Err(expected("`bench:NAME` or `cdfg:TEXT`"));
+                };
+                self.source = source.map_err(|e| {
+                    KnobError::Expected(format!("a value with valid escapes ({e})"))
+                })?;
+            }
+            "width" => self.width = parsed(value, word, "an integer in 1..=64")?,
+            "sa-width" => self.sa_width = parsed(value, word, "an integer in 1..=64")?,
+            "constraint" if value == "default" => self.constraint = None,
+            "constraint" => {
+                let pair = value
+                    .split_once('/')
+                    .and_then(|(a, m)| Some((a.parse().ok()?, m.parse().ok()?)));
+                self.constraint =
+                    Some(pair.ok_or_else(|| expected("`ADDERS/MULTS` or `default`"))?);
+            }
+            "binder" => {
+                self.binder = Binder::parse(value).ok_or_else(|| {
+                    expected(
+                        "lopass | lopass-ic | lopass-sa | hlpower[:ALPHA] | hlpower-zd[:ALPHA] \
+                         with a finite ALPHA",
+                    )
+                })?;
+            }
+            "cycles" => self.cycles = parsed(value, any, "an integer")?,
+            "lanes" => {
+                self.lanes = parsed(
+                    value,
+                    |l| *l <= gatesim::MAX_SLAB_LANES,
+                    "a lane count in 0..=512",
+                )?;
+            }
+            "sa-mode" => {
+                self.sa_mode = SaMode::parse(value)
+                    .ok_or_else(|| expected("precalculated | dynamic | zero-delay | simulated"))?;
+            }
+            "sim-seed" => self.sim_seed = parsed(value, any, "an integer")?,
+            "port-seed" => self.port_seed = parsed(value, any, "an integer")?,
+            "control" => {
+                self.fsm = match value {
+                    "fsm" => true,
+                    "external" => false,
+                    _ => return Err(expected("`external` or `fsm`")),
+                };
+            }
+            _ => return Err(KnobError::UnknownKey),
+        }
+        Ok(())
+    }
+
     /// Parses a request line written by [`JobRequest::to_line`].
     /// `source=` is required; every other field may be omitted and
-    /// defaults as the builder does. Unknown keys, duplicate keys, and
-    /// out-of-range values are rejected with the offending key and value
-    /// named in the error.
+    /// defaults as the builder does. Each `key=value` goes through
+    /// [`JobRequest::set`]; unknown keys, duplicate keys, and refused
+    /// values are errors that name the offending key and value.
     ///
     /// # Errors
     ///
@@ -372,7 +457,6 @@ impl JobRequest {
             Some("v1") => {}
             other => return Err(format!("unsupported request version {other:?}")),
         }
-        let mut source = None;
         let mut req = Self::with_source(JobSource::Suite(String::new()));
         let mut seen: Vec<&str> = Vec::new();
         for tok in toks {
@@ -383,73 +467,28 @@ impl JobRequest {
                 return Err(format!("duplicate key `{key}`"));
             }
             seen.push(key);
-            let bad = |what: &str| format!("invalid value `{value}` for `{key}`: expected {what}");
-            match key {
-                "source" => {
-                    source = Some(if let Some(name) = value.strip_prefix("bench:") {
-                        JobSource::Suite(unescape(name)?)
-                    } else if let Some(text) = value.strip_prefix("cdfg:") {
-                        JobSource::CdfgText(unescape(text)?)
-                    } else {
-                        return Err(bad("`bench:NAME` or `cdfg:TEXT`"));
-                    });
+            req.set(key, value).map_err(|e| match e {
+                KnobError::UnknownKey => format!("unknown key `{key}`"),
+                KnobError::Expected(what) => {
+                    format!("invalid value `{value}` for `{key}`: expected {what}")
                 }
-                "width" => {
-                    req.width = value.parse().map_err(|_| bad("an integer"))?;
-                    if req.width == 0 || req.width > 64 {
-                        return Err(bad("a width in 1..=64"));
-                    }
-                }
-                "sa-width" => {
-                    req.sa_width = value.parse().map_err(|_| bad("an integer"))?;
-                    if req.sa_width == 0 || req.sa_width > 64 {
-                        return Err(bad("a width in 1..=64"));
-                    }
-                }
-                "constraint" => {
-                    req.constraint = if value == "default" {
-                        None
-                    } else {
-                        let (a, m) = value
-                            .split_once('/')
-                            .ok_or_else(|| bad("`ADDERS/MULTS` or `default`"))?;
-                        Some((
-                            a.parse().map_err(|_| bad("`ADDERS/MULTS` or `default`"))?,
-                            m.parse().map_err(|_| bad("`ADDERS/MULTS` or `default`"))?,
-                        ))
-                    };
-                }
-                "binder" => {
-                    req.binder = Binder::parse(value).ok_or_else(|| {
-                        bad("lopass | lopass-ic | lopass-sa | hlpower[:A] | hlpower-zd[:A]")
-                    })?;
-                }
-                "cycles" => req.cycles = value.parse().map_err(|_| bad("an integer"))?,
-                "lanes" => {
-                    req.lanes = value.parse().map_err(|_| bad("an integer"))?;
-                    if req.lanes > gatesim::MAX_SLAB_LANES {
-                        return Err(bad("a lane count in 0..=512"));
-                    }
-                }
-                "sa-mode" => {
-                    req.sa_mode = SaMode::parse(value)
-                        .ok_or_else(|| bad("precalculated | dynamic | zero-delay | simulated"))?;
-                }
-                "sim-seed" => req.sim_seed = value.parse().map_err(|_| bad("an integer"))?,
-                "port-seed" => req.port_seed = value.parse().map_err(|_| bad("an integer"))?,
-                "control" => {
-                    req.fsm = match value {
-                        "fsm" => true,
-                        "external" => false,
-                        _ => return Err(bad("`external` or `fsm`")),
-                    };
-                }
-                other => return Err(format!("unknown key `{other}`")),
-            }
+            })?;
         }
-        req.source = source.ok_or("missing required key `source`")?;
+        if !seen.contains(&"source") {
+            return Err("missing required key `source`".to_string());
+        }
         Ok(req)
     }
+}
+
+/// Why [`JobRequest::set`] refused a `key=value` pair.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum KnobError {
+    /// No request key has this name.
+    UnknownKey,
+    /// The value is outside the key's domain; the text describes the
+    /// domain (`an integer in 1..=64`, …).
+    Expected(String),
 }
 
 // ---- JobReport -------------------------------------------------------------

@@ -40,9 +40,9 @@ pub enum ControlStyle {
     #[default]
     External,
     /// A synthesized on-chip controller: a binary step counter with wrap,
-    /// a synchronous `reset` input, and one ROM node per control signal
-    /// decoding the counter state — the FSM the paper's VHDL designs
-    /// carried.
+    /// a synchronous `reset` input, and one ROM per control signal
+    /// decoding the counter state (built from nodes of at most 4 inputs)
+    /// — the FSM the paper's VHDL designs carried.
     Fsm,
 }
 
@@ -274,14 +274,7 @@ pub fn elaborate(
                 control_idle.push(idle);
                 id
             }
-            Some(state) => {
-                let steps = per_step.len();
-                let table = netlist::TruthTable::from_fn(state.len(), |row| {
-                    let row = row as usize;
-                    row < steps && per_step[row]
-                });
-                nl.add_logic(name, state.clone(), table)
-            }
+            Some(state) => control_rom(nl, name, state, &per_step),
         }
     };
 
@@ -523,6 +516,24 @@ pub fn execute(dp: &Datapath, netlist: &Netlist, data: &[u64]) -> Vec<u64> {
         .collect()
 }
 
+/// The FSM's ROM for one control signal: state `s` (the counter bits
+/// `state`, LSB first) reads `per_step[s]`, and states past the schedule
+/// read 0. The mapper covers only nodes of at most 4 inputs, so a wider
+/// ROM is two half-ROMs over the low bits joined by a 2:1 mux on the top
+/// bit (Shannon expansion); schedules of up to 16 steps keep one node.
+fn control_rom(nl: &mut Netlist, name: String, state: &[NodeId], per_step: &[bool]) -> NodeId {
+    let Some((&top, low)) = state.split_last().filter(|_| state.len() > 4) else {
+        let table = netlist::TruthTable::from_fn(state.len(), |row| {
+            per_step.get(row as usize).copied().unwrap_or(false)
+        });
+        return nl.add_logic(name, state.to_vec(), table);
+    };
+    let (lo, hi) = per_step.split_at(per_step.len().min(1 << low.len()));
+    let lo = control_rom(nl, format!("{name}_lo"), low, lo);
+    let hi = control_rom(nl, format!("{name}_hi"), low, hi);
+    cells::mux2(nl, &name, top, lo, hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,27 +677,39 @@ mod tests {
 
     #[test]
     fn fsm_matches_external_control_after_mapping() {
-        let g = mac_cdfg();
-        let (sched, rb, fb) = full_binding(&g, 1, 1);
-        let ext = elaborate(&g, &sched, &rb, &fb, &DatapathConfig::with_width(6));
-        let fsm = elaborate(
-            &g,
-            &sched,
-            &rb,
-            &fb,
-            &DatapathConfig {
-                width: 6,
-                control: ControlStyle::Fsm,
-            },
-        );
-        let mapped = mapper::map(
-            &fsm.netlist,
-            &mapper::MapConfig::new(4, mapper::MapObjective::GlitchSa),
-        );
-        for data in [[1u64, 2, 3, 4, 5], [63, 63, 63, 63, 63], [9, 0, 17, 33, 2]] {
-            let want = execute(&ext, &ext.netlist, &data);
-            assert_eq!(execute(&fsm, &fsm.netlist, &data), want, "gate-level FSM");
-            assert_eq!(execute(&fsm, &mapped.netlist, &data), want, "mapped FSM");
+        // The MAC kernel's ROMs are single nodes; honda's 44-step
+        // schedule needs 6 state bits, so each of its ROMs is split
+        // twice into 4-input quarters.
+        let p = cdfg::profile("honda").unwrap();
+        let honda = cdfg::generate(p, p.seed);
+        let rc = crate::flow::paper_constraint("honda").unwrap();
+        for (g, add, mul, width) in [(mac_cdfg(), 1, 1, 6), (honda, rc.addsub, rc.mul, 4)] {
+            let (sched, rb, fb) = full_binding(&g, add, mul);
+            let ext = elaborate(&g, &sched, &rb, &fb, &DatapathConfig::with_width(width));
+            let fsm = elaborate(
+                &g,
+                &sched,
+                &rb,
+                &fb,
+                &DatapathConfig {
+                    width,
+                    control: ControlStyle::Fsm,
+                },
+            );
+            let mapped = mapper::map(
+                &fsm.netlist,
+                &mapper::MapConfig::new(4, mapper::MapObjective::GlitchSa),
+            );
+            let n = g.inputs().len();
+            let max = (1u64 << width) - 1;
+            let mut rng = StdRng::seed_from_u64(11);
+            let random: Vec<u64> = (0..n).map(|_| rng.gen_range(0..max + 1)).collect();
+            for data in [(1..=n as u64).collect(), vec![max; n], random] {
+                let want = execute(&ext, &ext.netlist, &data);
+                for (level, nl) in [("gate-level", &fsm.netlist), ("mapped", &mapped.netlist)] {
+                    assert_eq!(execute(&fsm, nl, &data), want, "{}: {level} FSM", g.name());
+                }
+            }
         }
     }
 

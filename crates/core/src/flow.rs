@@ -39,8 +39,10 @@ pub enum Binder {
     /// solutions (paper Table 3 "Largest MUX" up to 26, Table 4 muxDiff
     /// mean up to 8.1) are statistically indistinguishable from
     /// mux-structure-agnostic binding. This binder therefore assigns
-    /// operations first-fit in schedule order — see DESIGN.md for the
-    /// full calibration argument and the stronger baselines below.
+    /// operations first-fit in schedule order, so the baseline has the
+    /// mux structure the paper's LOPASS numbers show rather than a
+    /// stronger one the paper never compared against. The two stronger
+    /// interconnect minimizers below are extension baselines (`binders`).
     Lopass,
     /// Greedy marginal-cost bipartite binder + local refinement: a
     /// *stronger* interconnect minimizer than the published system
@@ -94,10 +96,12 @@ impl Binder {
     /// Parses a binder spec: a name, optionally suffixed `:ALPHA` for
     /// the HLPower variants (default α = 0.5), e.g. `hlpower:1.0`. The
     /// LOPASS variants take no α and reject one — a silently ignored
-    /// suffix would mislabel an experiment.
+    /// suffix would mislabel an experiment. α must be finite: a NaN or
+    /// infinite Eq. 4 weight turns edge weights into NaN or ±∞, which
+    /// the matcher cannot order.
     pub fn parse(spec: &str) -> Option<Binder> {
         let (name, alpha) = match spec.split_once(':') {
-            Some((name, a)) => (name, Some(a.parse::<f64>().ok()?)),
+            Some((name, a)) => (name, Some(a.parse::<f64>().ok().filter(|a| a.is_finite())?)),
             None => (spec, None),
         };
         match name {
@@ -655,24 +659,33 @@ mod tests {
 
     #[test]
     fn fsm_control_flow_runs() {
-        let p = cdfg::profile("pr").unwrap();
-        let g = cdfg::generate(p, p.seed);
-        let rc = paper_constraint("pr").unwrap();
-        let cfg = FlowConfig {
-            control: crate::datapath::ControlStyle::Fsm,
+        // Every suite benchmark: chem, dir, honda, mcm and steam schedule
+        // over more than 16 steps, so their control ROMs span 5–7 state
+        // bits and must be split into mappable 4-input nodes.
+        let ext_cfg = FlowConfig {
+            sim_cycles: 40,
             ..FlowConfig::fast()
         };
-        let r = run_benchmark(&g, &rc, Binder::HlPower { alpha: 0.5 }, &cfg);
-        assert!(r.meets_constraint);
-        assert!(r.power.dynamic_power_mw > 0.0);
-        // The FSM adds its counter/ROM logic on top of the datapath.
-        let ext = run_benchmark(&g, &rc, Binder::HlPower { alpha: 0.5 }, &FlowConfig::fast());
-        assert!(
-            r.luts > ext.luts,
-            "FSM controller costs LUTs: {} vs {}",
-            r.luts,
-            ext.luts
-        );
+        let cfg = FlowConfig {
+            control: crate::datapath::ControlStyle::Fsm,
+            ..ext_cfg.clone()
+        };
+        for p in cdfg::PROFILES.iter() {
+            let g = cdfg::generate(p, p.seed);
+            let rc = paper_constraint(p.name).unwrap();
+            let r = run_benchmark(&g, &rc, Binder::HlPower { alpha: 0.5 }, &cfg);
+            assert!(r.meets_constraint, "{}", p.name);
+            assert!(r.power.dynamic_power_mw > 0.0, "{}", p.name);
+            // The FSM adds its counter/ROM logic on top of the datapath.
+            let ext = run_benchmark(&g, &rc, Binder::HlPower { alpha: 0.5 }, &ext_cfg);
+            assert!(
+                r.luts > ext.luts,
+                "{}: FSM controller costs LUTs: {} vs {}",
+                p.name,
+                r.luts,
+                ext.luts
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! A source is either a register (operation results) or a primary-input
 //! port: the elaborated datapath reads benchmark inputs directly from its
-//! input pins, the streaming-interface style (see DESIGN.md).
+//! input pins, the streaming-interface style. An input is thus never read
+//! from a register, and every binder sees the same input ports, so no
+//! binder gains or loses from how inputs would be loaded.
 
 use crate::fubind::FuBinding;
 use crate::regbind::RegisterBinding;

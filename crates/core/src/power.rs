@@ -14,9 +14,12 @@
 //!   PowerPlay's own toggle-rate × capacitance formulation with one
 //!   effective capacitance per net.
 //!
-//! Absolute numbers depend on these constants; every experiment reports
-//! LOPASS and HLPower through the *same* model, so the ratios the paper
-//! claims are preserved (see DESIGN.md).
+//! Absolute numbers depend on these constants, but every experiment
+//! measures LOPASS and HLPower through the *same* model, and the paper's
+//! claims are relative (percent changes). Power is proportional to
+//! `C_eff · V²`, so the power ratio of two designs does not depend on
+//! either constant; it depends on the two delay constants only through
+//! the designs' clock periods.
 
 use gatesim::SimStats;
 

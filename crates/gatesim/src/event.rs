@@ -563,10 +563,9 @@ mod tests {
 
     #[test]
     fn wide_tables_and_repeated_fanins_settle_like_the_evaluator() {
-        // An 8-input node (a multi-word table, like an unmapped FSM
-        // control ROM) read through a latch and a downstream LUT, plus a
-        // node that reads one driver on two pins (one fanout edge whose
-        // pin mask flips both row bits).
+        // An 8-input node (a multi-word table) read through a latch
+        // and a downstream LUT, plus a node that reads one driver on two
+        // pins (one fanout edge whose pin mask flips both row bits).
         let mut nl = Netlist::new("wide");
         let ins: Vec<NodeId> = (0..7).map(|i| nl.add_input(format!("i{i}"))).collect();
         let q = nl.add_latch("q", true);

@@ -13,8 +13,9 @@
 //!   feeds several pins). Latch data edges are left out: a latch samples
 //!   only at the clock edge, so no logic event ever schedules one;
 //! * each logic node's **truth-table word inline** — the whole table up
-//!   to 6 inputs. Wider tables (the unmapped FSM control ROMs, up to
-//!   [`netlist::MAX_INPUTS`] inputs) keep their extra words aside;
+//!   to 6 inputs. Wider tables (up to [`netlist::MAX_INPUTS`] inputs, as
+//!   a BLIF file or a hand-built netlist may hold) keep their extra
+//!   words aside;
 //! * **latch `(Q, D)` pairs** and the primary inputs in declaration order;
 //! * the **wheel length**: one time slot per logic level up to the
 //!   deepest logic node anywhere in the netlist. Logic outside every

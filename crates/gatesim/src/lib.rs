@@ -18,10 +18,9 @@
 //! Both unit-delay engines run on one **compiled simulation graph**,
 //! built once per netlist when an engine is constructed: CSR fanins,
 //! logic-only fanouts with a pin mask per edge, inline truth-table words
-//! (tables wider than 6 inputs, such as unmapped FSM control ROMs, keep
-//! their extra words aside), latch `(Q, D)` pairs, and an event wheel
-//! with one slot per logic level up to the deepest logic node anywhere in
-//! the netlist. A step matches on no node kind and reuses its buffers
+//! (tables wider than 6 inputs keep their extra words aside), latch
+//! `(Q, D)` pairs, and an event wheel with one slot per logic level up
+//! to the deepest logic node anywhere in the netlist. A step matches on no node kind and reuses its buffers
 //! from step to step instead of allocating.
 //! The scalar engine keeps each LUT's packed fanin row current by XOR-ing
 //! a driver's pin mask into its readers' rows whenever it commits a
@@ -59,7 +58,6 @@ pub mod eval;
 pub mod event;
 mod graph;
 pub mod slabsim;
-pub mod vcd;
 pub mod vectors;
 
 pub use eval::Evaluator;
@@ -68,5 +66,4 @@ pub use slabsim::{
     run_random_slab, run_random_slab_with_activity, SlabActivity, SlabSim, MAX_SLAB_LANES,
     MAX_SLAB_WORDS,
 };
-pub use vcd::dump_vcd;
 pub use vectors::{lane_seed, run_random, run_with, SlabVectorSource, VectorSource};

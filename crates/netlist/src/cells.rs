@@ -59,55 +59,6 @@ pub fn mux2(nl: &mut Netlist, prefix: &str, sel: NodeId, a: NodeId, b: NodeId) -
     nl.add_logic(name, vec![a, b, sel], TruthTable::mux2())
 }
 
-/// Balanced AND tree over arbitrarily many inputs (≤3 fanins per node).
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn and_tree(nl: &mut Netlist, prefix: &str, inputs: &[NodeId]) -> NodeId {
-    reduce_tree(nl, prefix, inputs, |nl, prefix, chunk| {
-        let name = fresh(nl, prefix, "andt");
-        nl.add_logic(name, chunk.to_vec(), TruthTable::and(chunk.len()))
-    })
-}
-
-/// Balanced OR tree over arbitrarily many inputs (≤3 fanins per node).
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn or_tree(nl: &mut Netlist, prefix: &str, inputs: &[NodeId]) -> NodeId {
-    reduce_tree(nl, prefix, inputs, |nl, prefix, chunk| {
-        let name = fresh(nl, prefix, "ort");
-        nl.add_logic(name, chunk.to_vec(), TruthTable::or(chunk.len()))
-    })
-}
-
-fn reduce_tree(
-    nl: &mut Netlist,
-    prefix: &str,
-    inputs: &[NodeId],
-    mut gate: impl FnMut(&mut Netlist, &str, &[NodeId]) -> NodeId,
-) -> NodeId {
-    assert!(
-        !inputs.is_empty(),
-        "reduction tree needs at least one input"
-    );
-    let mut layer: Vec<NodeId> = inputs.to_vec();
-    while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(3));
-        for chunk in layer.chunks(3) {
-            if chunk.len() == 1 {
-                next.push(chunk[0]);
-            } else {
-                next.push(gate(nl, prefix, chunk));
-            }
-        }
-        layer = next;
-    }
-    layer[0]
-}
-
 /// Constant word of `width` bits holding `value`.
 pub fn const_word(nl: &mut Netlist, prefix: &str, value: u64, width: usize) -> Bus {
     (0..width)
@@ -633,22 +584,6 @@ mod tests {
                 .collect();
             assert_eq!(eval_bus(&nl, &binds, &vec![hit]) == 1, v == 19, "v={v}");
         }
-    }
-
-    #[test]
-    fn trees_reduce_wide_inputs() {
-        let mut nl = Netlist::new("t");
-        let ins: Vec<NodeId> = (0..13).map(|i| nl.add_input(format!("i{i}"))).collect();
-        let a = and_tree(&mut nl, "t", &ins);
-        let o = or_tree(&mut nl, "t", &ins);
-        nl.check().unwrap();
-        // all ones -> and=1, or=1; one zero -> and=0
-        let mut binds: Vec<(NodeId, bool)> = ins.iter().map(|&i| (i, true)).collect();
-        assert_eq!(eval_bus(&nl, &binds, &vec![a]), 1);
-        assert_eq!(eval_bus(&nl, &binds, &vec![o]), 1);
-        binds[4].1 = false;
-        assert_eq!(eval_bus(&nl, &binds, &vec![a]), 0);
-        assert_eq!(eval_bus(&nl, &binds, &vec![o]), 1);
     }
 
     #[test]

@@ -106,22 +106,17 @@
 //! flag and value named on stderr — and 1 for runtime failures.
 
 use cdfg::ResourceConstraint;
-use hlpower::api::{self, Endpoint, JobReport, JobRequest, Server, Service};
-use hlpower::{ArtifactStore, Binder, ControlStyle, GcPolicy, SaMode, SaTable, ServeOptions};
+use hlpower::api::{self, Endpoint, JobReport, JobRequest, JobSource, KnobError, Server, Service};
+use hlpower::{ArtifactStore, Binder, GcPolicy, SaMode, SaTable, ServeOptions};
 use std::process::exit;
 use std::sync::Arc;
 
 struct Options {
-    width: usize,
+    /// Every request knob the flags set; [`request_of`] fills in the
+    /// source and the constraint.
+    req: JobRequest,
     adders: Option<usize>,
     mults: Option<usize>,
-    alpha: f64,
-    binder_spec: Option<String>,
-    cycles: u64,
-    lanes: usize,
-    sa_mode: SaMode,
-    seed: Option<u64>,
-    fsm: bool,
     remote: Option<String>,
     vhdl: Option<String>,
     blif: Option<String>,
@@ -176,18 +171,25 @@ fn take_value(args: &[String], i: &mut usize, flag: &str) -> String {
     })
 }
 
+/// Sets request knob `key` from `flag`'s value through the request-key
+/// table ([`JobRequest::set`]), so a flag is bounded exactly as its
+/// wire key is.
+fn set_knob(req: &mut JobRequest, flag: &str, key: &str, value: &str) {
+    match req.set(key, value) {
+        Ok(()) => {}
+        Err(KnobError::Expected(what)) => bad_value(flag, value, &what),
+        Err(KnobError::UnknownKey) => {
+            eprintln!("hlp: unknown flag `{flag}`");
+            usage()
+        }
+    }
+}
+
 fn parse_options(args: &[String]) -> Options {
     let mut o = Options {
-        width: 16,
+        req: JobRequest::suite(""),
         adders: None,
         mults: None,
-        alpha: 0.5,
-        binder_spec: None,
-        cycles: 1000,
-        lanes: 1,
-        sa_mode: SaMode::Precalculated,
-        seed: None,
-        fsm: false,
         remote: None,
         vhdl: None,
         blif: None,
@@ -195,43 +197,39 @@ fn parse_options(args: &[String]) -> Options {
         sa_table: None,
         store: None,
     };
+    let mut alpha = 0.5;
+    let mut spec_has_alpha = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].clone();
         let value = |i: &mut usize| take_value(args, i, &flag);
         match flag.as_str() {
-            "--width" => {
-                let v = value(&mut i);
-                o.width = parsed(&flag, &v, "an integer in 1..=64");
-                if o.width == 0 || o.width > 64 {
-                    // Word-level buses are u64.
-                    bad_value(&flag, &v, "an integer in 1..=64");
-                }
-            }
+            "--width" => set_knob(&mut o.req, &flag, "width", &value(&mut i)),
+            "--cycles" => set_knob(&mut o.req, &flag, "cycles", &value(&mut i)),
+            "--lanes" => set_knob(&mut o.req, &flag, "lanes", &value(&mut i)),
+            "--sa-mode" => set_knob(&mut o.req, &flag, "sa-mode", &value(&mut i)),
             "--adders" => o.adders = Some(parsed(&flag, &value(&mut i), "an integer")),
             "--mults" => o.mults = Some(parsed(&flag, &value(&mut i), "an integer")),
-            "--alpha" => o.alpha = parsed(&flag, &value(&mut i), "a number"),
-            "--binder" => o.binder_spec = Some(value(&mut i)),
-            "--cycles" => o.cycles = parsed(&flag, &value(&mut i), "an integer"),
-            "--lanes" => {
+            "--alpha" => {
+                // α is bounded where binder specs are: `--alpha A` takes
+                // exactly what `hlpower:A` does.
                 let v = value(&mut i);
-                o.lanes = parsed(&flag, &v, "a lane count in 0..=512");
-                if o.lanes > gatesim::MAX_SLAB_LANES {
-                    bad_value(&flag, &v, "a lane count in 0..=512");
-                }
+                alpha = match Binder::parse(&format!("hlpower:{v}")) {
+                    Some(Binder::HlPower { alpha }) => alpha,
+                    _ => bad_value(&flag, &v, "a finite number"),
+                };
             }
-            "--sa-mode" => {
+            "--binder" => {
+                let spec = value(&mut i);
+                set_knob(&mut o.req, &flag, "binder", &spec);
+                spec_has_alpha = spec.contains(':');
+            }
+            "--seed" => {
                 let v = value(&mut i);
-                o.sa_mode = SaMode::parse(&v).unwrap_or_else(|| {
-                    bad_value(
-                        &flag,
-                        &v,
-                        "precalculated | dynamic | zero-delay | simulated",
-                    )
-                });
+                set_knob(&mut o.req, &flag, "sim-seed", &v);
+                set_knob(&mut o.req, &flag, "port-seed", &v);
             }
-            "--seed" => o.seed = Some(parsed(&flag, &value(&mut i), "an integer")),
-            "--fsm" => o.fsm = true,
+            "--fsm" => o.req.fsm = true,
             "--remote" => o.remote = Some(value(&mut i)),
             "--vhdl" => o.vhdl = Some(value(&mut i)),
             "--blif" => o.blif = Some(value(&mut i)),
@@ -245,68 +243,38 @@ fn parse_options(args: &[String]) -> Options {
         }
         i += 1;
     }
+    // --alpha applies to the HLPower variants unless the spec carried
+    // its own `:ALPHA`.
+    if !spec_has_alpha {
+        o.req.binder = match o.req.binder {
+            Binder::HlPower { .. } => Binder::HlPower { alpha },
+            Binder::HlPowerZeroDelay { .. } => Binder::HlPowerZeroDelay { alpha },
+            other => other,
+        };
+    }
+    // `hlp` has no SA-width flag: the SA table is at most 8 bits wide.
+    o.req.sa_width = o.req.width.min(8);
     o
 }
 
-/// The binder these options select: an explicit `--binder` spec (whose
-/// `:ALPHA` suffix wins), else HLPower at `--alpha`.
-fn binder_of(o: &Options) -> Binder {
-    match &o.binder_spec {
-        None => Binder::HlPower { alpha: o.alpha },
-        Some(spec) => {
-            let binder = Binder::parse(spec).unwrap_or_else(|| {
-                bad_value(
-                    "--binder",
-                    spec,
-                    "lopass | lopass-ic | lopass-sa | hlpower[:ALPHA] | hlpower-zd[:ALPHA]",
-                )
-            });
-            // --alpha applies to the HLPower variants unless the spec
-            // carried its own `:ALPHA`.
-            if spec.contains(':') {
-                binder
-            } else {
-                match binder {
-                    Binder::HlPower { .. } => Binder::HlPower { alpha: o.alpha },
-                    Binder::HlPowerZeroDelay { .. } => Binder::HlPowerZeroDelay { alpha: o.alpha },
-                    other => other,
-                }
-            }
-        }
-    }
-}
-
 /// Builds the request the options describe around `source`.
-fn request_of(o: &Options, source: hlpower::JobSource) -> JobRequest {
-    let mut req = match source {
-        hlpower::JobSource::Suite(name) => JobRequest::suite(name),
-        hlpower::JobSource::CdfgText(text) => JobRequest::from_cdfg_text(text),
+fn request_of(o: &Options, source: JobSource) -> JobRequest {
+    let req = JobRequest {
+        source,
+        ..o.req.clone()
     };
-    req = req
-        .width(o.width)
-        .sa_width(o.width.min(8))
-        .binder(binder_of(o))
-        .cycles(o.cycles)
-        .lanes(o.lanes)
-        .sa_mode(o.sa_mode)
-        .fsm(o.fsm);
-    if let Some(seed) = o.seed {
-        req = req.seed(seed);
-    }
     match (o.adders, o.mults) {
-        (None, None) => {}
+        (None, None) => req,
         (a, m) => {
             // A partially explicit constraint completes from the default
             // the source would resolve to.
             let d = req
-                .clone()
                 .resolve()
                 .map(|(_, rc)| rc)
                 .unwrap_or_else(|_| ResourceConstraint::new(2, 2));
-            req = req.constraint(a.unwrap_or(d.addsub), m.unwrap_or(d.mul));
+            req.constraint(a.unwrap_or(d.addsub), m.unwrap_or(d.mul))
         }
     }
-    req
 }
 
 /// Renders a report to the deterministic stdout block — identical bytes
@@ -426,7 +394,7 @@ fn open_store_or_die(spec: &str, role: &str) -> ArtifactStore {
 
 /// Executes a `run`/`bench` request — remotely over `--remote`, else on
 /// a local service — and renders the one true report block.
-fn run_job(o: &Options, source: hlpower::JobSource) {
+fn run_job(o: &Options, source: JobSource) {
     let req = request_of(o, source);
     if let Some(addr) = &o.remote {
         for (flag, given) in [
@@ -457,55 +425,46 @@ fn run_job(o: &Options, source: hlpower::JobSource) {
     let binder = req.binder;
     let pipeline = service.pipeline(&req);
     let storable = load_table(o, &pipeline, binder);
-    let wants_artifacts = o.vhdl.is_some() || o.blif.is_some() || o.dot.is_some();
-    let mut artifacts: Vec<(String, String)> = Vec::new();
-    let rep = if wants_artifacts {
-        // Drive the pipeline directly so **one** binding run serves both
-        // the report and the exported artifacts (`Service::execute`
-        // hides the binding outcome and would force a second, equally
-        // expensive bind). Same stage sequence and stats attribution as
-        // the service path.
-        let (g, rc) = req.resolve().unwrap_or_else(|e| die(e));
-        let before = pipeline.stats();
-        let prep = pipeline.prepare(&g, &rc);
-        let outcome = pipeline.bind(&prep, binder);
-        let result = pipeline.measure(&prep, &outcome, binder);
-        pipeline.flush_store();
-        let stats = pipeline.stats().since(&before);
-        let dp = hlpower::elaborate(
-            &g,
-            &prep.sched,
-            &prep.rb,
-            &outcome.fb,
-            &hlpower::DatapathConfig {
-                width: o.width,
-                control: if o.fsm {
-                    ControlStyle::Fsm
-                } else {
-                    ControlStyle::External
-                },
-            },
-        );
-        if let Some(path) = &o.vhdl {
-            artifacts.push((path.clone(), hlpower::write_vhdl(&dp)));
-        }
-        if let Some(path) = &o.blif {
-            artifacts.push((path.clone(), netlist::write_blif(&dp.netlist)));
-        }
-        if let Some(path) = &o.dot {
-            artifacts.push((path.clone(), cdfg::to_dot(&g, Some(&prep.sched))));
-        }
-        JobReport { result, stats }
-    } else {
-        service.execute(&req).unwrap_or_else(|e| die(e))
-    };
+    let rep = service.execute(&req).unwrap_or_else(|e| die(e));
     if storable {
         store_table(o, &pipeline, binder);
     }
     print!("{}", render_report(&req, &rep));
     report_stats(&rep);
-    for (path, content) in &artifacts {
-        write_or_die(path, content);
+    if o.vhdl.is_some() || o.blif.is_some() || o.dot.is_some() {
+        write_exports(o, &req, &pipeline);
+    }
+}
+
+/// Writes the `--vhdl`/`--blif`/`--dot` exports of a job that has just
+/// run. The pipeline still holds the job's prepared schedule and
+/// register binding, and a warm re-bind is cheap (0.1–5.2 ms per suite
+/// benchmark at the paper configuration, `BENCH_bind.json`), so the
+/// exports bind again rather than keep a second copy of
+/// `Service::execute`.
+fn write_exports(o: &Options, req: &JobRequest, pipeline: &hlpower::Pipeline) {
+    let (g, rc) = req.resolve().unwrap_or_else(|e| die(e));
+    let prep = pipeline.prepare(&g, &rc);
+    let outcome = pipeline.bind(&prep, req.binder);
+    let cfg = pipeline.config();
+    let dp = hlpower::elaborate(
+        &g,
+        &prep.sched,
+        &prep.rb,
+        &outcome.fb,
+        &hlpower::DatapathConfig {
+            width: cfg.width,
+            control: cfg.control,
+        },
+    );
+    if let Some(path) = &o.vhdl {
+        write_or_die(path, &hlpower::write_vhdl(&dp));
+    }
+    if let Some(path) = &o.blif {
+        write_or_die(path, &netlist::write_blif(&dp.netlist));
+    }
+    if let Some(path) = &o.dot {
+        write_or_die(path, &cdfg::to_dot(&g, Some(&prep.sched)));
     }
 }
 
@@ -944,7 +903,7 @@ fn main() {
             // file instead of surfacing as daemon rejections.
             cdfg::parse_cdfg(&text)
                 .unwrap_or_else(|e| die(format!("parse error in `{path}`: {e}")));
-            run_job(&o, hlpower::JobSource::CdfgText(text));
+            run_job(&o, JobSource::CdfgText(text));
         }
         "bench" => {
             let Some(name) = argv.get(1) else {
@@ -958,7 +917,7 @@ fn main() {
                 usage();
             }
             let o = parse_options(&argv[2..]);
-            run_job(&o, hlpower::JobSource::Suite(name.clone()));
+            run_job(&o, JobSource::Suite(name.clone()));
         }
         "serve" => serve(&argv[1..]),
         "batch" => batch(&argv[1..]),
@@ -971,18 +930,18 @@ fn main() {
                 usage()
             };
             let o = parse_options(&argv[2..]);
-            if o.sa_mode == SaMode::Dynamic {
+            if o.req.sa_mode == SaMode::Dynamic {
                 // Dynamic mode is a run/bench ablation (uncached
                 // estimation); it never memoizes, so there is nothing to
                 // precompute into a file.
                 eprintln!("--sa-mode dynamic never memoizes, so there is no table to store");
                 usage();
             }
-            let mut table = SaTable::new(o.width.min(8), 4).with_mode(o.sa_mode);
+            let mut table = SaTable::new(o.req.sa_width, 4).with_mode(o.req.sa_mode);
             eprintln!(
                 "precomputing SA table up to 8x8 muxes (width {}, mode {})...",
                 table.width(),
-                o.sa_mode.name()
+                o.req.sa_mode.name()
             );
             table.precompute(8);
             write_or_die(out, &table.to_text());

@@ -14,8 +14,9 @@
 //! * a `store fsck` sweep over the wire surfaces in
 //!   `control fsck-status` and inside the `control stats` block;
 //! * a request with a zero-unit constraint, zero simulated cycles, or
-//!   an op-less inline CDFG gets an `error` reply, and a one-worker
-//!   daemon still answers the next job.
+//!   an op-less inline CDFG gets an `error` reply, steam under FSM
+//!   control gets a full report, and a one-worker daemon still answers
+//!   the next job.
 //!
 //! Admission control (park-with-`busy`, promotion after drain,
 //! zero-depth rejection) is covered in `remote_store.rs` alongside the
@@ -342,6 +343,14 @@ fn a_zero_unit_constraint_is_refused_and_the_only_worker_keeps_serving() {
             "{refused:?}"
         );
     }
+    // steam's FSM control ROMs span 7 state bits, which the mapper can
+    // cover only as 4-input nodes; an uncoverable node panics a worker.
+    let steam_fsm = round_trip(&fast_request("steam").fsm(true).cycles(20));
+    assert_eq!(
+        steam_fsm.last().map(String::as_str),
+        Some("end"),
+        "{steam_fsm:?}"
+    );
     // The one worker survived: the next job is answered in full.
     let answered = round_trip(&fast_request("wang"));
     assert_eq!(
