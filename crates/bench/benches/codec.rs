@@ -25,7 +25,7 @@
 //! cargo bench -p hlpower-bench --bench codec
 //! ```
 
-use hlpower::{ArtifactStore, Fingerprint, MappedArtifact};
+use hlpower::{ArtifactKind, ArtifactStore, Fingerprint, MappedArtifact};
 use netlist::binio::{BinReader, KIND_MAPPED};
 use std::time::Instant;
 
@@ -104,7 +104,9 @@ fn main() {
 
     let name = fp.to_string();
     let bin_open = min_secs(iters, || {
-        let data = bin_store.raw_get("netlists", &name).expect("warm get hits");
+        let data = bin_store
+            .raw_get(ArtifactKind::Netlists, &name)
+            .expect("warm get hits");
         let r = BinReader::open(&data, KIND_MAPPED, 1).expect("valid container");
         // Touch both sections: metrics and the netlist payload slice.
         assert!(r.section(0).expect("metrics section").len() >= 32);

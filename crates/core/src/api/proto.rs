@@ -763,20 +763,13 @@ pub struct FsckStatus {
     pub issues: u64,
     /// Defective files quarantined aside as `.bad`.
     pub quarantined: u64,
-    /// Defects mechanically repaired.
-    pub fixed: u64,
 }
 
 impl FsckStatus {
     fn line(&self) -> String {
         format!(
-            "fsck {} {} {} {} {} {}\n",
-            self.runs,
-            self.scanned,
-            self.skipped_unchanged,
-            self.issues,
-            self.quarantined,
-            self.fixed
+            "fsck {} {} {} {} {}\n",
+            self.runs, self.scanned, self.skipped_unchanged, self.issues, self.quarantined
         )
     }
 
@@ -788,7 +781,7 @@ impl FsckStatus {
             .split_whitespace()
             .map(|t| t.parse().map_err(|_| format!("bad `fsck` value `{t}`")))
             .collect::<Result<_, _>>()?;
-        if v.len() != 6 {
+        if v.len() != 5 {
             return Err(format!("bad `fsck` line `{line}`"));
         }
         Ok(FsckStatus {
@@ -797,13 +790,12 @@ impl FsckStatus {
             skipped_unchanged: v[2],
             issues: v[3],
             quarantined: v[4],
-            fixed: v[5],
         })
     }
 
     /// Serializes to the exact `control fsck-status` reply block.
     pub fn to_text(&self) -> String {
-        format!("# hlpower fsck-status v1\n{}end\n", self.line())
+        format!("# hlpower fsck-status v2\n{}end\n", self.line())
     }
 
     /// Parses a block written by [`FsckStatus::to_text`].
@@ -814,7 +806,7 @@ impl FsckStatus {
     pub fn from_text(text: &str) -> Result<FsckStatus, String> {
         let mut lines = text.lines();
         match lines.next() {
-            Some("# hlpower fsck-status v1") => {}
+            Some("# hlpower fsck-status v2") => {}
             other => return Err(format!("bad fsck-status header {other:?}")),
         }
         let status = Self::parse_fields(lines.next().ok_or("missing `fsck` line")?)?;
@@ -865,7 +857,7 @@ impl StatsSnapshot {
     /// Serializes to the exact `control stats` reply block.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str("# hlpower stats v1\n");
+        out.push_str("# hlpower stats v2\n");
         out.push_str(&format!(
             "conns {} {} {} {} {} {}\n",
             self.conns_accepted,
@@ -928,7 +920,7 @@ impl StatsSnapshot {
             lines.next().ok_or_else(|| format!("missing `{what}` line"))
         };
         match next("header")? {
-            "# hlpower stats v1" => {}
+            "# hlpower stats v2" => {}
             other => return Err(format!("bad stats header `{other}`")),
         }
         let c = ints("conns", next("conns")?, 6)?;
@@ -1493,7 +1485,6 @@ mod tests {
                 skipped_unchanged: 30,
                 issues: 3,
                 quarantined: 2,
-                fixed: 1,
             },
             ..StatsSnapshot::default()
         };
@@ -1520,6 +1511,13 @@ mod tests {
     fn stats_snapshot_rejects_malformed_blocks() {
         assert!(StatsSnapshot::from_text("").is_err());
         assert!(StatsSnapshot::from_text("# hlpower stats v2\n").is_err());
+        // A block of the previous version, whose `fsck` line also
+        // counted fixed slots, is refused by its header.
+        let v1 = StatsSnapshot::default()
+            .to_text()
+            .replace("stats v2", "stats v1")
+            .replace("\nfsck 0 0 0 0 0\n", "\nfsck 0 0 0 0 0 0\n");
+        assert!(StatsSnapshot::from_text(&v1).is_err());
         let good = StatsSnapshot::default().to_text();
         let lines: Vec<&str> = good.lines().collect();
         for skip in 1..lines.len() {
@@ -1544,12 +1542,16 @@ mod tests {
             skipped_unchanged: 90,
             issues: 2,
             quarantined: 1,
-            fixed: 1,
         };
         let text = st.to_text();
+        assert_eq!(text, "# hlpower fsck-status v2\nfsck 3 100 90 2 1\nend\n");
         assert_eq!(FsckStatus::from_text(&text).unwrap(), st);
         assert_eq!(FsckStatus::from_text(&text).unwrap().to_text(), text);
-        assert!(FsckStatus::from_text("# hlpower fsck-status v1\nend\n").is_err());
+        assert!(FsckStatus::from_text("# hlpower fsck-status v2\nend\n").is_err());
+        // The previous version's block carried a sixth (fixed) count.
+        assert!(
+            FsckStatus::from_text("# hlpower fsck-status v1\nfsck 3 100 90 2 1 0\nend\n").is_err()
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::api::proto::{
     LATENCY_BUCKETS_US, MAX_BATCH_JOBS, MAX_REQUEST_LINE,
 };
 use crate::api::service::Service;
-use crate::store::ArtifactStore;
+use crate::store::{audit_artifact_bytes, ArtifactKind, ArtifactStore};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
@@ -494,121 +494,109 @@ fn perform_store_verb(
     line: &str,
     body: Option<Vec<u8>>,
 ) -> (Vec<u8>, String, bool, Option<FsckStatus>) {
-    let fail = |msg: String| {
-        (
+    match store_verb(store, line, body) {
+        Ok((reply, summary, fsck)) => (reply, summary, false, fsck),
+        Err(msg) => (
             format!("error {}\n", escape(&msg)).into_bytes(),
             format!("store request refused: {msg}"),
             true,
             None,
-        )
-    };
+        ),
+    }
+}
+
+/// The reply, log summary and fsck counters of one `store ...` request
+/// ([`perform_store_verb`]), or the message of its `error` reply.
+fn store_verb(
+    store: Option<&Arc<ArtifactStore>>,
+    line: &str,
+    body: Option<Vec<u8>>,
+) -> Result<(Vec<u8>, String, Option<FsckStatus>), String> {
     let toks: Vec<&str> = line.split_whitespace().collect();
-    let Some(store) = store else {
-        return fail("this daemon has no store attached (start it with --store DIR)".to_string());
+    let store = store.ok_or("this daemon has no store attached (start it with --store DIR)")?;
+    let parse_kind = |kind: &str| {
+        ArtifactKind::parse(kind).ok_or_else(|| format!("unknown artifact kind `{kind}`"))
     };
-    let check = |kind: &str, name: &str| -> Result<(), String> {
-        if !crate::store::valid_kind(kind) {
-            return Err(format!("unknown artifact kind `{kind}`"));
-        }
+    let check = |kind: &str, name: &str| -> Result<ArtifactKind, String> {
+        let kind = parse_kind(kind)?;
         if !crate::store::valid_name(name) {
             return Err(format!("invalid artifact name `{name}`"));
         }
-        Ok(())
+        Ok(kind)
     };
-    match toks.as_slice() {
+    Ok(match toks.as_slice() {
         ["store", "get", kind, name] => {
-            if let Err(e) = check(kind, name) {
-                return fail(e);
-            }
+            let kind = check(kind, name)?;
             match store.raw_get(kind, name) {
                 Some(content) => {
                     let mut reply = format!("data {}\n", content.len()).into_bytes();
                     let summary = format!("get {kind}/{name} hit ({} bytes)", content.len());
                     reply.extend_from_slice(&content);
-                    (reply, summary, false, None)
+                    (reply, summary, None)
                 }
                 None => (
                     b"absent\n".to_vec(),
                     format!("get {kind}/{name} miss"),
-                    false,
                     None,
                 ),
             }
         }
         ["store", "stat", kind, name] => {
-            if let Err(e) = check(kind, name) {
-                return fail(e);
-            }
-            let present = store.raw_stat(kind, name);
+            let kind = check(kind, name)?;
+            let present = if store.raw_stat(kind, name) {
+                "present"
+            } else {
+                "absent"
+            };
             (
-                if present {
-                    b"present\n".to_vec()
-                } else {
-                    b"absent\n".to_vec()
-                },
-                format!(
-                    "stat {kind}/{name} {}",
-                    if present { "present" } else { "absent" }
-                ),
-                false,
+                format!("{present}\n").into_bytes(),
+                format!("stat {kind}/{name} {present}"),
                 None,
             )
         }
         ["store", "list", kind] => {
-            if !crate::store::valid_kind(kind) {
-                return fail(format!("unknown artifact kind `{kind}`"));
+            let kind = parse_kind(kind)?;
+            let names = store
+                .raw_list(kind)
+                .map_err(|e| format!("cannot list {kind}: {e}"))?;
+            let mut reply = format!("names {}\n", names.len());
+            for name in &names {
+                reply.push_str(name);
+                reply.push('\n');
             }
-            match store.raw_list(kind) {
-                Ok(names) => {
-                    let mut reply = format!("names {}\n", names.len());
-                    for name in &names {
-                        reply.push_str(name);
-                        reply.push('\n');
-                    }
-                    (
-                        reply.into_bytes(),
-                        format!("list {kind} ({} names)", names.len()),
-                        false,
-                        None,
-                    )
-                }
-                Err(e) => fail(format!("cannot list {kind}: {e}")),
-            }
+            (
+                reply.into_bytes(),
+                format!("list {kind} ({} names)", names.len()),
+                None,
+            )
         }
         ["store", "put", kind, name, len] => {
             let body = body.unwrap_or_default();
-            if let Err(e) = check(kind, name) {
-                return fail(e);
-            }
+            let kind = check(kind, name)?;
             // The body is stored verbatim (no transcode) — but not
             // blindly: it must pass the same static audit `hlp fsck`
             // applies, so one misbehaving client cannot seed the shared
             // store with bytes every other client would then trip over.
-            if let Err(e) = crate::store::audit_artifact_bytes(kind, name, &body) {
-                return fail(format!("artifact rejected: {e}"));
-            }
+            audit_artifact_bytes(kind, name, &body)
+                .map_err(|e| format!("artifact rejected: {e}"))?;
             store.raw_put(kind, name, &body);
             (
                 b"ok\n".to_vec(),
                 format!("put {kind}/{name} ({len} bytes)"),
-                false,
                 None,
             )
         }
         ["store", "put-sa", len] => {
             let body = body.unwrap_or_default();
-            let table = match SaTable::from_bin(&body) {
-                Ok(table) => table,
-                Err(e) => return fail(format!("unparseable SA table: {e}")),
-            };
+            let table =
+                SaTable::from_bin(&body).map_err(|e| format!("unparseable SA table: {e}"))?;
             // The parsed header names the shard this body would merge
             // into; run the body through the same audit `hlp fsck`
             // applies to stored shards BEFORE merging, so one corrupt
             // client cannot poison a shard every other client shares.
             let shard = crate::store::sa_shard_name(table.mode(), table.width(), table.k());
-            if let Err(e) = crate::store::audit_artifact_bytes("satables", &shard, &body) {
-                return fail(format!("SA table rejected: {e}"));
-            }
+            audit_artifact_bytes(ArtifactKind::Satables, &shard, &body)
+                .map_err(|e| format!("SA table rejected: {e}"))?;
             let stats = store.merge_sa_table(&table);
             (
                 format!(
@@ -617,95 +605,81 @@ fn perform_store_verb(
                 )
                 .into_bytes(),
                 format!("put-sa {len} bytes: {stats}"),
-                false,
                 None,
             )
         }
         ["store", "audit", kind, name, len] => {
             let body = body.unwrap_or_default();
-            if let Err(e) = check(kind, name) {
-                return fail(e);
-            }
+            let kind = check(kind, name)?;
             // Audit without storing: the `store put` gate as a verb of
             // its own, so clients can vet bytes they do NOT intend to
             // merge (pre-flight checks, CI gates) against the daemon's
             // auditor version instead of their own.
-            match crate::store::audit_artifact_bytes(kind, name, &body) {
-                Ok(()) => (
-                    b"ok audited\n".to_vec(),
-                    format!("audit {kind}/{name} ({len} bytes) clean"),
-                    false,
-                    None,
-                ),
-                Err(e) => fail(format!("artifact rejected: {e}")),
-            }
+            audit_artifact_bytes(kind, name, &body)
+                .map_err(|e| format!("artifact rejected: {e}"))?;
+            (
+                b"ok audited\n".to_vec(),
+                format!("audit {kind}/{name} ({len} bytes) clean"),
+                None,
+            )
         }
         ["store", "fsck", mode, scope] => {
             let repair = match *mode {
-                "off" => crate::RepairMode::Off,
-                "repair" => crate::RepairMode::Quarantine,
-                "repair-fix" => crate::RepairMode::Fix,
-                other => {
-                    return fail(format!(
-                        "unknown fsck mode `{other}` (expected off/repair/repair-fix)"
-                    ))
-                }
+                "off" => false,
+                "repair" => true,
+                other => return Err(format!("unknown fsck mode `{other}` (expected off/repair)")),
             };
             let full = match *scope {
                 "full" => true,
                 "fast" => false,
-                other => return fail(format!("unknown fsck scope `{other}` (expected fast/full)")),
+                other => return Err(format!("unknown fsck scope `{other}` (expected fast/full)")),
             };
             // The daemon audits its own store in place and streams only
             // verdicts — one `bad` line per defect, then the `done`
             // counters. Artifact bodies never cross the wire.
-            match store.fsck_with(&crate::FsckOptions { repair, full }) {
-                Ok(report) => {
-                    let mut reply = String::new();
-                    for issue in &report.issues {
-                        reply.push_str(&format!(
-                            "bad {} {} {} {} {}\n",
-                            issue.kind,
-                            issue.name,
-                            u8::from(issue.quarantined),
-                            u8::from(issue.fixed),
-                            escape(&issue.problem)
-                        ));
-                    }
-                    reply.push_str(&format!(
-                        "done {} {} {} {} {}\n",
-                        report.scanned,
-                        report.skipped_unchanged,
-                        report.issues.len(),
-                        report.quarantined,
-                        report.fixed
-                    ));
-                    let status = FsckStatus {
-                        runs: 1,
-                        scanned: report.scanned as u64,
-                        skipped_unchanged: report.skipped_unchanged as u64,
-                        issues: report.issues.len() as u64,
-                        quarantined: report.quarantined as u64,
-                        fixed: report.fixed as u64,
-                    };
-                    (
-                        reply.into_bytes(),
-                        format!("fsck {mode} {scope}: {report}"),
-                        false,
-                        Some(status),
-                    )
-                }
-                Err(e) => fail(format!("fsck failed: {e}")),
+            let report = store
+                .fsck_with(&crate::FsckOptions { repair, full })
+                .map_err(|e| format!("fsck failed: {e}"))?;
+            let mut reply = String::new();
+            for issue in &report.issues {
+                reply.push_str(&format!(
+                    "bad {} {} {} {}\n",
+                    issue.kind,
+                    issue.name,
+                    u8::from(issue.quarantined),
+                    escape(&issue.problem)
+                ));
             }
+            reply.push_str(&format!(
+                "done {} {} {} {}\n",
+                report.scanned,
+                report.skipped_unchanged,
+                report.issues.len(),
+                report.quarantined
+            ));
+            let status = FsckStatus {
+                runs: 1,
+                scanned: report.scanned as u64,
+                skipped_unchanged: report.skipped_unchanged as u64,
+                issues: report.issues.len() as u64,
+                quarantined: report.quarantined as u64,
+            };
+            (
+                reply.into_bytes(),
+                format!("fsck {mode} {scope}: {report}"),
+                Some(status),
+            )
         }
-        _ => fail(format!(
-            "unknown store request `{}` (expected get/put/stat/list/put-sa/audit/fsck)",
-            line.split_whitespace()
-                .take(2)
-                .collect::<Vec<_>>()
-                .join(" ")
-        )),
-    }
+        _ => {
+            return Err(format!(
+                "unknown store request `{}` (expected get/put/stat/list/put-sa/audit/fsck)",
+                line.split_whitespace()
+                    .take(2)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            ))
+        }
+    })
 }
 
 use crate::SaTable;

@@ -28,6 +28,7 @@
 //! own side index.
 
 use crate::fingerprint::{Fingerprint, Hasher128};
+use crate::store::ArtifactKind;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -50,36 +51,14 @@ pub(crate) const AUDIT_DIR: &str = "audit";
 /// File extension of one watermark.
 const WM_EXT: &str = "wm";
 
-/// How defects found by fsck are handled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepairMode {
-    /// Report only.
-    Off,
-    /// Rename defective files aside to `*.bad` (`--repair`).
-    Quarantine,
-    /// Try a mechanical [`netlist::fix_netlist`] repair first; the
-    /// pre-fix bytes are quarantined and the fixed artifact must
-    /// re-audit clean before it is written. Falls back to plain
-    /// quarantine when no sound fix exists (`--repair=fix`).
-    Fix,
-}
-
 /// Options for [`crate::ArtifactStore::fsck_with`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FsckOptions {
-    /// What to do with defective slots.
-    pub repair: RepairMode,
+    /// Rename defective files aside to `*.bad` (`--repair`) so the next
+    /// run recomputes them; otherwise report only.
+    pub repair: bool,
     /// Ignore watermarks and re-audit every slot (`--full`).
     pub full: bool,
-}
-
-impl Default for FsckOptions {
-    fn default() -> FsckOptions {
-        FsckOptions {
-            repair: RepairMode::Off,
-            full: false,
-        }
-    }
 }
 
 /// One persisted audit watermark: everything that must still match for
@@ -159,22 +138,22 @@ pub fn content_fingerprint(data: &[u8]) -> Fingerprint {
 }
 
 /// Path of the watermark for `(kind, name)` under `root`.
-pub(crate) fn watermark_path(root: &Path, kind: &str, name: &str) -> PathBuf {
+pub(crate) fn watermark_path(root: &Path, kind: ArtifactKind, name: &str) -> PathBuf {
     root.join(AUDIT_DIR)
-        .join(kind)
+        .join(kind.dir())
         .join(format!("{name}.{WM_EXT}"))
 }
 
 /// Loads the persisted watermark for a slot, or `None` when absent or
 /// unreadable (both just mean the slot re-audits).
-pub(crate) fn read_watermark(root: &Path, kind: &str, name: &str) -> Option<Watermark> {
+pub(crate) fn read_watermark(root: &Path, kind: ArtifactKind, name: &str) -> Option<Watermark> {
     let text = fs::read_to_string(watermark_path(root, kind, name)).ok()?;
     Watermark::decode(&text)
 }
 
 /// Persists a slot's watermark (best effort — the index is advisory, a
 /// failed write only costs a future re-audit).
-pub(crate) fn write_watermark(root: &Path, kind: &str, name: &str, wm: &Watermark) {
+pub(crate) fn write_watermark(root: &Path, kind: ArtifactKind, name: &str, wm: &Watermark) {
     let path = watermark_path(root, kind, name);
     if let Some(dir) = path.parent() {
         let _ = fs::create_dir_all(dir);
@@ -185,15 +164,15 @@ pub(crate) fn write_watermark(root: &Path, kind: &str, name: &str, wm: &Watermar
 /// Drops a slot's watermark — called whenever its artifact is
 /// rewritten or quarantined, so the audit story can never
 /// outlive the bytes it vouched for.
-pub(crate) fn invalidate_watermark(root: &Path, kind: &str, name: &str) {
+pub(crate) fn invalidate_watermark(root: &Path, kind: ArtifactKind, name: &str) {
     let _ = fs::remove_file(watermark_path(root, kind, name));
 }
 
 /// Removes watermarks whose artifact no longer exists (gc'd, merged
 /// away, quarantined by an older pass). `live` is the sorted slot list
 /// of `kind`. Returns how many orphaned watermarks were dropped.
-pub(crate) fn sweep_orphan_watermarks(root: &Path, kind: &str, live: &[String]) -> usize {
-    let dir = root.join(AUDIT_DIR).join(kind);
+pub(crate) fn sweep_orphan_watermarks(root: &Path, kind: ArtifactKind, live: &[String]) -> usize {
+    let dir = root.join(AUDIT_DIR).join(kind.dir());
     let Ok(entries) = fs::read_dir(&dir) else {
         return 0;
     };
@@ -212,8 +191,8 @@ pub(crate) fn sweep_orphan_watermarks(root: &Path, kind: &str, live: &[String]) 
 
 /// Returns the artifact file path backing `(kind, name)` in a local
 /// store, if it exists, so the fsck walk can stat the same file it read.
-pub(crate) fn slot_path(root: &Path, kind: &str, name: &str) -> Option<PathBuf> {
-    let path = root.join(kind).join(format!("{name}.bin"));
+pub(crate) fn slot_path(root: &Path, kind: ArtifactKind, name: &str) -> Option<PathBuf> {
+    let path = kind.slot(root, name);
     path.is_file().then_some(path)
 }
 
@@ -270,7 +249,8 @@ mod tests {
     fn orphan_sweep_drops_only_dead_watermarks() {
         let root = std::env::temp_dir().join(format!("hlp-audit-sweep-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join(AUDIT_DIR).join("sims")).unwrap();
+        let sims = ArtifactKind::Sims;
+        fs::create_dir_all(root.join(AUDIT_DIR).join(sims.dir())).unwrap();
         let wm = Watermark {
             auditor: AUDITOR_VERSION,
             mtime_secs: 1,
@@ -278,12 +258,12 @@ mod tests {
             size: 3,
             fp: content_fingerprint(b"x"),
         };
-        write_watermark(&root, "sims", "live", &wm);
-        write_watermark(&root, "sims", "dead", &wm);
+        write_watermark(&root, sims, "live", &wm);
+        write_watermark(&root, sims, "dead", &wm);
         let live = vec!["live".to_string()];
-        assert_eq!(sweep_orphan_watermarks(&root, "sims", &live), 1);
-        assert!(read_watermark(&root, "sims", "live").is_some());
-        assert!(read_watermark(&root, "sims", "dead").is_none());
+        assert_eq!(sweep_orphan_watermarks(&root, sims, &live), 1);
+        assert!(read_watermark(&root, sims, "live").is_some());
+        assert!(read_watermark(&root, sims, "dead").is_none());
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -59,7 +59,7 @@ pub mod vhdl;
 pub use api::{
     Endpoint, JobReport, JobRequest, JobSource, ServeOptions, Server, Service, ServiceError,
 };
-pub use audit::{FsckOptions, RepairMode, AUDITOR_VERSION};
+pub use audit::{FsckOptions, AUDITOR_VERSION};
 pub use datapath::{
     elaborate, execute, ControlProgram, ControlStyle, DataPort, Datapath, DatapathConfig,
 };
@@ -77,7 +77,8 @@ pub use satable::{
 };
 pub use store::{
     audit_artifact_auto, audit_artifact_bytes, checked_netlist, fix_artifact_auto, ArtifactBytes,
-    ArtifactStore, CodecNanos, FixVerdict, FsckIssue, FsckReport, GcPolicy, GcReport, KindUsage,
-    LocalStore, MappedArtifact, MergeReport, RemoteStore, StoreBackend, StoreCounts, StoreUsage,
+    ArtifactKind, ArtifactStore, CodecNanos, FixVerdict, FsckIssue, FsckReport, GcPolicy, GcReport,
+    KindUsage, LocalStore, MappedArtifact, MergeReport, RemoteStore, StoreBackend, StoreCounts,
+    StoreUsage,
 };
 pub use vhdl::write_vhdl;

@@ -291,30 +291,6 @@ impl Pipeline {
         }
     }
 
-    /// Audits every artifact in the attached store — container proof,
-    /// decode, semantic check — via [`ArtifactStore::fsck`]. With
-    /// `repair` set, defective files are quarantined under a `.bad`
-    /// rename so warm lookups stop serving them while the evidence
-    /// survives for inspection (`hlp gc`/`usage` report the tally).
-    /// Returns `None` when the pipeline runs storeless. Embedders and
-    /// the daemon host get the same audit `hlp fsck` runs, without
-    /// re-opening the store; the warm run paths themselves stay lazy —
-    /// a defective artifact they encounter is simply treated as a miss
-    /// and recomputed over.
-    pub fn fsck(&self, repair: bool) -> Option<std::io::Result<crate::store::FsckReport>> {
-        self.store.as_ref().map(|s| s.fsck(repair))
-    }
-
-    /// [`Pipeline::fsck`] with the full option surface
-    /// ([`crate::FsckOptions`]): watermark-skipping warm passes,
-    /// `--full` re-audits, and the quarantine/fix repair modes.
-    pub fn fsck_with(
-        &self,
-        options: &crate::FsckOptions,
-    ) -> Option<std::io::Result<crate::store::FsckReport>> {
-        self.store.as_ref().map(|s| s.fsck_with(options))
-    }
-
     /// Merges the in-memory SA caches back into the store's on-disk
     /// shards (merge-on-absorb: entries already on disk win; conflicts
     /// are warned about). No-op without a store. Called automatically at
@@ -647,12 +623,10 @@ mod tests {
 
     #[test]
     fn pipeline_fsck_audits_what_the_run_wrote() {
-        let p = Pipeline::new(FlowConfig::fast());
-        assert!(p.fsck(false).is_none(), "storeless pipeline has no audit");
         let store = temp_store("pipeline-fsck");
         let p = Pipeline::with_store(FlowConfig::fast(), store);
         p.run_matrix(&small_suite(&["wang"]), &[Binder::Lopass], 1);
-        let report = p.fsck(false).expect("store attached").unwrap();
+        let report = p.store().expect("store attached").fsck(false).unwrap();
         assert!(report.is_clean(), "{report}");
         assert!(report.scanned >= 3, "prepared + netlists + sims walked");
     }

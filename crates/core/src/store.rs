@@ -57,21 +57,27 @@
 //! store list KIND            →  names N\n<N name lines>
 //! store put-sa LEN\n<LEN bytes of an hlpbin SaTable>  →  ok I M C
 //! store audit KIND NAME LEN\n<LEN bytes>  →  ok SUMMARY  |  error MSG
-//! store fsck MODE SCOPE      →  bad KIND NAME Q F PROBLEM (per defect)
-//!                               done SCANNED SKIPPED DEFECTIVE QUAR FIXED
+//! store fsck MODE SCOPE      →  bad KIND NAME Q PROBLEM (per defect)
+//!                               done SCANNED SKIPPED DEFECTIVE QUAR
 //! ```
 //!
-//! (`put-sa` merges server-side under the daemon's shard lock and
-//! reports inserted/matched/conflicting counts; failures are `error
-//! MSG` lines.) `store fsck` (`MODE` ∈ `off|repair|repair-fix`, `SCOPE`
-//! ∈ `fast|full`) audits the daemon's store **in place** — no artifact
-//! body crosses the wire; only one verdict line per defective slot and
-//! a summary come back, with `--repair` quarantine and `--repair=fix`
-//! autofixes honored on the daemon host. `store audit` checks bytes
-//! without storing them. A warm run against a remote store is
-//! byte-identical to the same run against the daemon's directory
-//! mounted locally: the backend only moves bytes, every encoding
-//! decision stays in this module.
+//! (`KIND` is an [`ArtifactKind`] by its directory name; any other
+//! `KIND` is refused with an `error MSG` line. `put-sa` merges
+//! server-side under the daemon's shard lock and reports
+//! inserted/matched/conflicting counts; failures are `error MSG`
+//! lines.) `store fsck` (`MODE` ∈ `off|repair`, `SCOPE` ∈ `fast|full`)
+//! audits the daemon's store **in place** — no artifact body crosses
+//! the wire; only one verdict line per defective slot and a summary
+//! come back, with `--repair` quarantine honored on the daemon host.
+//! `store audit` checks bytes without storing them. A warm run against
+//! a remote store is byte-identical to the same run against the
+//! daemon's directory mounted locally: the backend only moves bytes,
+//! every encoding decision stays in this module.
+//!
+//! A slot holds exactly what the flow computes for its name, and
+//! nothing here rewrites one to other bytes: a defective slot is
+//! quarantined (`fsck --repair`) and the next run that needs it
+//! recomputes it.
 //!
 //! # On-disk layout
 //!
@@ -105,7 +111,7 @@
 
 use crate::api::proto::{read_reply_line, Stream};
 use crate::api::{unescape, Endpoint, RequestError};
-use crate::audit::{self, FsckOptions, RepairMode};
+use crate::audit::{self, FsckOptions};
 use crate::fingerprint::Fingerprint;
 use crate::regbind::RegisterBinding;
 use crate::satable::{AbsorbStats, SaMode, SaTable, SharedSaTable};
@@ -121,19 +127,136 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// The artifact kinds (and local subdirectories) of a store.
-pub const KINDS: [&str; 4] = ["prepared", "netlists", "sims", "satables"];
+/// The four artifact kinds of a store. A kind owns its directory name
+/// (also its name on the wire), its `hlpbin` payload tag, the rule its
+/// slot names follow, and the decode-and-audit of its bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ArtifactKind {
+    /// Schedule + register binding, named by
+    /// [`crate::fingerprint::prepared_fingerprint`].
+    Prepared,
+    /// Elaborated + technology-mapped netlists, named by
+    /// [`crate::fingerprint::netlist_fingerprint`].
+    Netlists,
+    /// Simulation summaries, named by
+    /// [`crate::fingerprint::sim_fingerprint`].
+    Sims,
+    /// SA-table shards, named `<mode>-w<W>-k<K>`.
+    Satables,
+}
+
+impl ArtifactKind {
+    /// Every kind, in walk order (the order of `fsck`, `usage`, `gc`
+    /// and `merge`).
+    pub const ALL: [ArtifactKind; 4] = [
+        ArtifactKind::Prepared,
+        ArtifactKind::Netlists,
+        ArtifactKind::Sims,
+        ArtifactKind::Satables,
+    ];
+
+    /// The kind's subdirectory of a local store, and its name on the
+    /// wire.
+    pub const fn dir(self) -> &'static str {
+        match self {
+            ArtifactKind::Prepared => "prepared",
+            ArtifactKind::Netlists => "netlists",
+            ArtifactKind::Sims => "sims",
+            ArtifactKind::Satables => "satables",
+        }
+    }
+
+    /// The kind [`ArtifactKind::dir`] names, or `None` for any other
+    /// string.
+    pub fn parse(name: &str) -> Option<ArtifactKind> {
+        ArtifactKind::ALL
+            .into_iter()
+            .find(|kind| kind.dir() == name)
+    }
+
+    /// The `hlpbin` payload tag a binary artifact of this kind carries.
+    const fn payload(self) -> [u8; 4] {
+        match self {
+            ArtifactKind::Prepared => binio::KIND_PREPARED,
+            ArtifactKind::Netlists => binio::KIND_MAPPED,
+            ArtifactKind::Sims => binio::KIND_SIM,
+            ArtifactKind::Satables => binio::KIND_SA_TABLE,
+        }
+    }
+
+    /// Position in [`ArtifactKind::ALL`], for per-kind counter arrays.
+    const fn index(self) -> usize {
+        // lint:allow(trunc-cast): a fieldless enum's discriminant is 0..=3
+        self as usize
+    }
+
+    /// The file backing `(self, name)` under a local store root.
+    pub(crate) fn slot(self, root: &Path, name: &str) -> PathBuf {
+        root.join(self.dir()).join(format!("{name}.bin"))
+    }
+
+    /// Checks `name` against the kind's addressing rule: a 32-hex-digit
+    /// content fingerprint, or a `<mode>-w<W>-k<K>` shard stem for
+    /// `satables`.
+    fn check_name(self, name: &str) -> Result<(), String> {
+        match self {
+            ArtifactKind::Prepared | ArtifactKind::Netlists | ArtifactKind::Sims => {
+                Fingerprint::parse(name).map(drop).ok_or_else(|| {
+                    format!("name `{name}` is not a 32-hex-digit content fingerprint")
+                })
+            }
+            ArtifactKind::Satables => parse_sa_shard_name(name)
+                .map(drop)
+                .ok_or_else(|| format!("name `{name}` is not a `<mode>-w<W>-k<K>` shard stem")),
+        }
+    }
+
+    /// Decodes `data` under the kind's codec and audits what it holds:
+    /// a mapped netlist must pass the full semantic checker, and an SA
+    /// shard's header must agree with the `name` it is filed under
+    /// (which [`ArtifactKind::check_name`] has already accepted).
+    fn check_payload(self, name: &str, data: &[u8]) -> Result<(), String> {
+        match self {
+            ArtifactKind::Prepared => {
+                decode_prepared(data).ok_or("does not decode as a prepared artifact")?;
+            }
+            ArtifactKind::Netlists => {
+                let artifact =
+                    decode_mapped_unchecked(data).ok_or("does not decode as a mapped artifact")?;
+                // One line on failure: the daemon embeds it in a
+                // protocol reply.
+                checked_netlist(&artifact.netlist, "mapped netlist")?;
+            }
+            ArtifactKind::Sims => {
+                SimStats::from_summary_bin(data)
+                    .map_err(|_| "does not decode as a simulation summary")?;
+            }
+            ArtifactKind::Satables => {
+                let table =
+                    SaTable::from_bin(data).map_err(|_| "does not decode as an SA table")?;
+                if parse_sa_shard_name(name) != Some((table.mode(), table.width(), table.k())) {
+                    return Err(format!(
+                        "shard header ({}) disagrees with its name `{name}`",
+                        sa_shard_name(table.mode(), table.width(), table.k())
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for ArtifactKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.dir())
+    }
+}
 
 /// Largest artifact body the wire protocol will frame or accept. Mapped
 /// netlists of the paper suite are well under a megabyte; the cap only
 /// exists so a garbage length prefix cannot make either side allocate
 /// unboundedly.
 pub(crate) const MAX_WIRE_BODY: usize = 64 << 20;
-
-/// Whether `kind` names one of the four artifact kinds.
-pub(crate) fn valid_kind(kind: &str) -> bool {
-    KINDS.contains(&kind)
-}
 
 /// Whether `name` is a safe artifact file stem: fingerprints and SA
 /// shard names only ever need `[A-Za-z0-9._-]`, and rejecting everything
@@ -209,25 +332,33 @@ impl fmt::Display for StoreCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "prepared {}/{}, netlists {}/{}, sims {}/{} (hits/lookups)",
+            "{} {}/{}, {} {}/{}, {} {}/{} (hits/lookups)",
+            ArtifactKind::Prepared,
             self.prepared_hits,
             self.prepared_hits + self.prepared_misses,
+            ArtifactKind::Netlists,
             self.netlist_hits,
             self.netlist_hits + self.netlist_misses,
+            ArtifactKind::Sims,
             self.sim_hits,
             self.sim_hits + self.sim_misses,
         )
     }
 }
 
+/// The live counters behind [`StoreCounts`] and [`CodecNanos`], one
+/// slot per [`ArtifactKind`] (SA shards have no hit/miss accounting).
 #[derive(Debug, Default)]
-struct StoreCounters {
-    prepared_hits: AtomicU64,
-    prepared_misses: AtomicU64,
-    netlist_hits: AtomicU64,
-    netlist_misses: AtomicU64,
-    sim_hits: AtomicU64,
-    sim_misses: AtomicU64,
+struct KindCounters {
+    hits: [AtomicU64; 4],
+    misses: [AtomicU64; 4],
+    decode_ns: [AtomicU64; 4],
+    encode_ns: [AtomicU64; 4],
+}
+
+/// A snapshot of one per-kind counter array.
+fn load_all(counters: &[AtomicU64; 4]) -> [u64; 4] {
+    counters.each_ref().map(|c| c.load(Ordering::Relaxed))
 }
 
 /// A technology-mapped netlist plus the backend metrics a warm run needs
@@ -304,20 +435,18 @@ pub struct KindUsage {
 /// Per-kind size accounting of a whole store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreUsage {
-    /// `prepared/` — schedules + register bindings.
-    pub prepared: KindUsage,
-    /// `netlists/` — elaborated + mapped netlists.
-    pub netlists: KindUsage,
-    /// `sims/` — simulation summaries.
-    pub sims: KindUsage,
-    /// `satables/` — SA-table shards.
-    pub satables: KindUsage,
+    kinds: [KindUsage; 4],
 }
 
 impl StoreUsage {
+    /// The accounting of one artifact kind.
+    pub fn of(&self, kind: ArtifactKind) -> KindUsage {
+        self.kinds[kind.index()]
+    }
+
     /// Total across every artifact kind.
     pub fn total(&self) -> KindUsage {
-        let kinds = [self.prepared, self.netlists, self.sims, self.satables];
+        let kinds = &self.kinds;
         KindUsage {
             files: kinds.iter().map(|k| k.files).sum(),
             bytes: kinds.iter().map(|k| k.bytes).sum(),
@@ -329,8 +458,9 @@ impl StoreUsage {
 
 impl fmt::Display for StoreUsage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let row = |f: &mut fmt::Formatter<'_>, name: &str, k: &KindUsage| {
-            write!(f, "{name:9} {:6} file(s) {:12} bytes", k.files, k.bytes)?;
+        for kind in ArtifactKind::ALL {
+            let k = self.of(kind);
+            write!(f, "{kind:9} {:6} file(s) {:12} bytes", k.files, k.bytes)?;
             if k.quarantined > 0 {
                 write!(
                     f,
@@ -338,12 +468,8 @@ impl fmt::Display for StoreUsage {
                     k.quarantined, k.quarantined_bytes
                 )?;
             }
-            writeln!(f)
-        };
-        row(f, "prepared", &self.prepared)?;
-        row(f, "netlists", &self.netlists)?;
-        row(f, "sims", &self.sims)?;
-        row(f, "satables", &self.satables)?;
+            writeln!(f)?;
+        }
         let total = self.total();
         write!(
             f,
@@ -430,20 +556,15 @@ impl fmt::Display for GcReport {
 /// One defective artifact found by [`ArtifactStore::fsck`].
 #[derive(Clone, Debug)]
 pub struct FsckIssue {
-    /// The artifact kind (one of [`KINDS`]).
-    pub kind: &'static str,
+    /// The artifact kind.
+    pub kind: ArtifactKind,
     /// The artifact's name (file stem).
     pub name: String,
     /// What the audit found wrong, human-readable.
     pub problem: String,
     /// Whether the file was renamed aside to `*.bad` (`--repair` on a
-    /// local store; for a fixed slot these are the **pre-fix** bytes).
+    /// local store); the next run that needs the slot recomputes it.
     pub quarantined: bool,
-    /// Whether a mechanical repair replaced the slot (`--repair=fix`):
-    /// the rewritten artifact re-audited clean under the full auditor
-    /// before it was installed, and the defective original is the
-    /// quarantined `*.bad` twin.
-    pub fixed: bool,
 }
 
 impl fmt::Display for FsckIssue {
@@ -451,9 +572,6 @@ impl fmt::Display for FsckIssue {
         write!(f, "{}/{}: {}", self.kind, self.name, self.problem)?;
         if self.quarantined {
             write!(f, " [quarantined]")?;
-        }
-        if self.fixed {
-            write!(f, " [fixed]")?;
         }
         Ok(())
     }
@@ -474,9 +592,6 @@ pub struct FsckReport {
     pub issues: Vec<FsckIssue>,
     /// How many of the issues were renamed aside to `*.bad`.
     pub quarantined: usize,
-    /// How many of the issues were mechanically repaired in place
-    /// (`--repair=fix`), with the pre-fix bytes quarantined.
-    pub fixed: usize,
 }
 
 impl FsckReport {
@@ -513,11 +628,7 @@ impl fmt::Display for FsckReport {
             self.skipped_unchanged,
             self.issues.len(),
             self.quarantined
-        )?;
-        if self.fixed > 0 {
-            write!(f, ", {} fixed", self.fixed)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -728,29 +839,21 @@ impl fmt::Display for CodecNanos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "prepared {}/{}, netlists {}/{}, sims {}/{}, satables {}/{} (decode/encode)",
+            "{} {}/{}, {} {}/{}, {} {}/{}, {} {}/{} (decode/encode)",
+            ArtifactKind::Prepared,
             fmt_ns(self.prepared_decode_ns),
             fmt_ns(self.prepared_encode_ns),
+            ArtifactKind::Netlists,
             fmt_ns(self.netlist_decode_ns),
             fmt_ns(self.netlist_encode_ns),
+            ArtifactKind::Sims,
             fmt_ns(self.sim_decode_ns),
             fmt_ns(self.sim_encode_ns),
+            ArtifactKind::Satables,
             fmt_ns(self.satable_decode_ns),
             fmt_ns(self.satable_encode_ns),
         )
     }
-}
-
-#[derive(Debug, Default)]
-struct CodecCounters {
-    prepared_decode_ns: AtomicU64,
-    prepared_encode_ns: AtomicU64,
-    netlist_decode_ns: AtomicU64,
-    netlist_encode_ns: AtomicU64,
-    sim_decode_ns: AtomicU64,
-    sim_encode_ns: AtomicU64,
-    satable_decode_ns: AtomicU64,
-    satable_encode_ns: AtomicU64,
 }
 
 // ---- backends --------------------------------------------------------------
@@ -769,16 +872,16 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// Raw artifact bytes for `(kind, name)`, or `None` when absent.
     /// Backends treat every failure (unreadable file, dead connection)
     /// as a cache miss — the store never fails the run it serves.
-    fn get(&self, kind: &str, name: &str) -> Option<ArtifactBytes>;
+    fn get(&self, kind: ArtifactKind, name: &str) -> Option<ArtifactBytes>;
 
     /// Persists raw artifact bytes under `(kind, name)`. Failures are
     /// reported to stderr and swallowed: the store is a cache, and a
     /// failed save must never fail the experiment that produced the
     /// artifact.
-    fn put(&self, kind: &str, name: &str, content: &[u8]);
+    fn put(&self, kind: ArtifactKind, name: &str, content: &[u8]);
 
     /// Whether `(kind, name)` exists, without transferring the body.
-    fn stat(&self, kind: &str, name: &str) -> bool;
+    fn stat(&self, kind: ArtifactKind, name: &str) -> bool;
 
     /// The names (file stems) of every finished artifact of `kind`,
     /// sorted.
@@ -787,7 +890,7 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     ///
     /// Propagates enumeration failures (unlike single-artifact lookups,
     /// a failed listing would silently truncate a merge).
-    fn list(&self, kind: &str) -> io::Result<Vec<String>>;
+    fn list(&self, kind: ArtifactKind) -> io::Result<Vec<String>>;
 
     /// Merges a table into the shard for its `(mode, width, k)` —
     /// existing entries win, conflicts are counted — and reports what
@@ -841,7 +944,7 @@ fn parse_sa_shard_name(name: &str) -> Option<(SaMode, usize, usize)> {
 /// `name`, without trusting any of it. This is the shared gate behind
 /// `hlp check`, `hlp fsck`, and the daemon's `store put` validation:
 ///
-/// 1. `kind` must be one of [`KINDS`] and `name` a safe file stem;
+/// 1. `name` must be a safe file stem;
 /// 2. the name must honor the kind's addressing discipline — a
 ///    32-hex-digit fingerprint for the content-addressed kinds, a
 ///    `<mode>-w<W>-k<K>` shard stem for `satables`;
@@ -863,73 +966,21 @@ fn parse_sa_shard_name(name: &str) -> Option<(SaMode, usize, usize)> {
 ///
 /// A single-line, human-readable description of the first defect (also
 /// safe to embed in a daemon `error` reply).
-pub fn audit_artifact_bytes(kind: &str, name: &str, data: &[u8]) -> Result<(), String> {
-    if !valid_kind(kind) {
-        return Err(format!("unknown artifact kind `{kind}`"));
-    }
+pub fn audit_artifact_bytes(kind: ArtifactKind, name: &str, data: &[u8]) -> Result<(), String> {
     if !valid_name(name) {
         return Err(format!("invalid artifact name `{name}`"));
     }
-    match kind {
-        "satables" => {
-            if parse_sa_shard_name(name).is_none() {
-                return Err(format!(
-                    "name `{name}` is not a `<mode>-w<W>-k<K>` shard stem"
-                ));
-            }
-        }
-        _ => {
-            if Fingerprint::parse(name).is_none() {
-                return Err(format!(
-                    "name `{name}` is not a 32-hex-digit content fingerprint"
-                ));
-            }
-        }
-    }
+    kind.check_name(name)?;
     if binio::is_binary(data) {
         let report = netlist::validate_deep(data).map_err(|e| format!("binary container: {e}"))?;
-        let expected = match kind {
-            "prepared" => binio::KIND_PREPARED,
-            "netlists" => binio::KIND_MAPPED,
-            "sims" => binio::KIND_SIM,
-            _ => binio::KIND_SA_TABLE,
-        };
-        if report.kind != expected {
+        if report.kind != kind.payload() {
             return Err(format!(
                 "payload kind `{}` does not match store kind `{kind}`",
                 String::from_utf8_lossy(&report.kind)
             ));
         }
     }
-    match kind {
-        "prepared" => {
-            decode_prepared(data).ok_or("does not decode as a prepared artifact")?;
-        }
-        "netlists" => {
-            let artifact =
-                decode_mapped_unchecked(data).ok_or("does not decode as a mapped artifact")?;
-            // One line on failure: the daemon embeds it in a protocol
-            // reply.
-            checked_netlist(&artifact.netlist, "mapped netlist")?;
-        }
-        "sims" => {
-            SimStats::from_summary_bin(data)
-                .map_err(|_| "does not decode as a simulation summary")?;
-        }
-        _ => {
-            let table = SaTable::from_bin(data).map_err(|_| "does not decode as an SA table")?;
-            let (mode, width, k) = parse_sa_shard_name(name).expect("shard name checked above");
-            if table.mode() != mode || table.width() != width || table.k() != k {
-                return Err(format!(
-                    "shard header ({}-w{}-k{}) disagrees with its name `{name}`",
-                    table.mode().name(),
-                    table.width(),
-                    table.k()
-                ));
-            }
-        }
-    }
-    Ok(())
+    kind.check_payload(name, data)
 }
 
 /// Runs the full semantic checker over `nl`, summarizing a clean pass
@@ -1046,68 +1097,56 @@ pub enum FixVerdict {
         /// Post-fix audit summary.
         summary: String,
     },
-    /// The defect has no sound mechanical fix (or the file carries no
-    /// netlist to fix). Carries the original problem and the reason.
+    /// The defect has no sound mechanical fix, or the file is not a
+    /// bare netlist. Carries the original problem and the reason.
     Unfixable(String),
 }
 
-/// Attempts a mechanical repair of standalone artifact bytes
-/// ([`netlist::fix_netlist`]: drop orphans, rewire singleton muxes,
-/// dedupe identical multiply-drivers). Only netlist-carrying files —
-/// bare netlists (binary or text) and mapped artifacts — are fixable;
-/// the result is accepted only when the fix loop converges to zero
-/// violations, actually changed something, and the re-encoded bytes
-/// pass [`audit_artifact_auto`].
+/// Attempts a mechanical repair of a bare netlist file, binary (`nlst`)
+/// or text ([`netlist::fix_netlist`]: drop orphans, rewire singleton
+/// muxes, dedupe identical multiply-drivers). The result is accepted
+/// only when the fix loop converges to zero violations, actually
+/// changed something, and the re-encoded bytes pass
+/// [`audit_artifact_auto`].
+///
+/// Store artifacts are refused. A mapped artifact's metrics were
+/// computed from the netlist the flow produced for its fingerprint, so
+/// an edited netlist under that name would serve results no run
+/// computes; a defective slot is quarantined by `hlp fsck --repair`
+/// and recomputed by the next run instead.
 pub fn fix_artifact_auto(data: &[u8]) -> FixVerdict {
     let problem = match audit_artifact_auto(data) {
         Ok(summary) => return FixVerdict::Clean(summary),
         Err(problem) => problem,
     };
-    // Decode whatever netlist the bytes carry, remembering which
-    // carrier shape (and encoding) the fixed graph must go back into.
-    enum Carrier {
-        Bare(netlist::Netlist),
-        Mapped(MappedArtifact),
-    }
     let binary = binio::is_binary(data);
-    let carrier = if binary {
+    let nl = if binary {
         match netlist::validate_deep(data).map(|deep| deep.kind) {
-            Ok(binio::KIND_NETLIST) => netlist::parse_netlist_bin(data).ok().map(Carrier::Bare),
-            Ok(binio::KIND_MAPPED) => decode_mapped_unchecked(data).map(Carrier::Mapped),
-            _ => None,
+            Ok(binio::KIND_NETLIST) => netlist::parse_netlist_bin(data).ok(),
+            Ok(_) => {
+                return FixVerdict::Unfixable(format!(
+                    "{problem}; a store artifact is never rewritten: \
+                     `hlp fsck --repair` quarantines its slot and the next run recomputes it"
+                ))
+            }
+            Err(_) => None,
         }
     } else {
         std::str::from_utf8(data)
             .ok()
             .and_then(|text| parse_netlist_text(text).ok())
-            .map(Carrier::Bare)
     };
-    let Some(carrier) = carrier else {
+    let Some(nl) = nl else {
         return FixVerdict::Unfixable(format!("{problem}; no decodable netlist to fix"));
     };
-    let nl = match &carrier {
-        Carrier::Bare(nl) => nl,
-        Carrier::Mapped(artifact) => &artifact.netlist,
-    };
-    let out = netlist::fix_netlist(nl);
+    let out = netlist::fix_netlist(&nl);
     if out.applied == 0 || !out.report.violations.is_empty() {
         return FixVerdict::Unfixable(format!("{problem}; no sound mechanical fix"));
     }
-    let bytes = match carrier {
-        Carrier::Bare(_) if binary => netlist::write_netlist_bin(&out.netlist),
-        Carrier::Bare(_) => write_netlist_text(&out.netlist).into_bytes(),
-        Carrier::Mapped(artifact) => {
-            // Derived metrics must describe the repaired graph; depth()
-            // is safe on a violation-free (proved acyclic) netlist.
-            let repaired = MappedArtifact {
-                luts: out.netlist.num_logic(),
-                depth: out.netlist.depth(),
-                estimated_sa: artifact.estimated_sa,
-                registers: artifact.registers,
-                netlist: out.netlist,
-            };
-            encode_mapped(&repaired)
-        }
+    let bytes = if binary {
+        netlist::write_netlist_bin(&out.netlist)
+    } else {
+        write_netlist_text(&out.netlist).into_bytes()
     };
     match audit_artifact_auto(&bytes) {
         Ok(summary) => FixVerdict::Fixed {
@@ -1140,8 +1179,8 @@ impl LocalStore {
     /// Propagates filesystem errors creating the layout.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<LocalStore> {
         let root = dir.as_ref().to_path_buf();
-        for sub in KINDS {
-            fs::create_dir_all(root.join(sub))?;
+        for kind in ArtifactKind::ALL {
+            fs::create_dir_all(root.join(kind.dir()))?;
         }
         Ok(LocalStore { root })
     }
@@ -1153,22 +1192,18 @@ impl LocalStore {
     /// Returns `NotFound` unless `dir` already has the store layout.
     pub fn open_existing(dir: impl AsRef<Path>) -> io::Result<LocalStore> {
         let root = dir.as_ref().to_path_buf();
-        for sub in KINDS {
-            if !root.join(sub).is_dir() {
+        for kind in ArtifactKind::ALL {
+            if !root.join(kind.dir()).is_dir() {
                 return Err(io::Error::new(
                     io::ErrorKind::NotFound,
                     format!(
-                        "`{}` is not an artifact store (missing {sub}/)",
+                        "`{}` is not an artifact store (missing {kind}/)",
                         root.display()
                     ),
                 ));
             }
         }
         Ok(LocalStore { root })
-    }
-
-    fn path(&self, kind: &str, name: &str) -> PathBuf {
-        self.root.join(kind).join(format!("{name}.bin"))
     }
 
     /// Below this size a buffered read beats the mmap/munmap round trip
@@ -1216,30 +1251,30 @@ impl LocalStore {
 }
 
 impl StoreBackend for LocalStore {
-    fn get(&self, kind: &str, name: &str) -> Option<ArtifactBytes> {
-        Self::read_file(&self.path(kind, name))
+    fn get(&self, kind: ArtifactKind, name: &str) -> Option<ArtifactBytes> {
+        Self::read_file(&kind.slot(&self.root, name))
     }
 
-    fn put(&self, kind: &str, name: &str, content: &[u8]) {
-        if self.write_atomic(&self.path(kind, name), content) {
+    fn put(&self, kind: ArtifactKind, name: &str, content: &[u8]) {
+        if self.write_atomic(&kind.slot(&self.root, name), content) {
             // The slot's bytes changed, so any persisted audit verdict
-            // no longer vouches for them — a rewrite (recompute, fsck
-            // fix) must re-audit on the next fsck pass.
+            // no longer vouches for them — a rewrite (a recompute, a
+            // merge, a wire put) must re-audit on the next fsck pass.
             audit::invalidate_watermark(&self.root, kind, name);
         }
     }
 
-    fn stat(&self, kind: &str, name: &str) -> bool {
-        self.path(kind, name).is_file()
+    fn stat(&self, kind: ArtifactKind, name: &str) -> bool {
+        kind.slot(&self.root, name).is_file()
     }
 
-    fn list(&self, kind: &str) -> io::Result<Vec<String>> {
+    fn list(&self, kind: ArtifactKind) -> io::Result<Vec<String>> {
         // Only finished artifacts carry the `.bin` suffix; leftover
         // `*.tmp.*` files from interrupted writes (and legacy `.txt`
         // slots) are not artifacts and must not be listed (or later
         // copied and parsed by a merge).
         let mut names = Vec::new();
-        for entry in fs::read_dir(self.root.join(kind))? {
+        for entry in fs::read_dir(self.root.join(kind.dir()))? {
             let name = entry?.file_name().to_string_lossy().into_owned();
             if let Some(stem) = name.strip_suffix(".bin") {
                 names.push(stem.to_string());
@@ -1260,12 +1295,12 @@ impl StoreBackend for LocalStore {
         // entries. Best-effort: if the lock file cannot be created or
         // locked, fall through unlocked — a lost update degrades the
         // cache (entries recompute later), never its correctness.
-        let lock = fs::File::create(self.root.join("satables").join(".lock"))
+        let lock = fs::File::create(self.root.join(ArtifactKind::Satables.dir()).join(".lock"))
             .and_then(|f| f.lock().map(|()| f))
             .ok();
         let merged = SharedSaTable::new(width, k).with_mode(mode);
         if let Some(existing) = self
-            .get("satables", &name)
+            .get(ArtifactKind::Satables, &name)
             .and_then(|data| shard_from_bytes(&data, mode, width, k))
         {
             merged
@@ -1275,7 +1310,7 @@ impl StoreBackend for LocalStore {
         let stats = merged
             .absorb(table)
             .expect("shard compatible by construction");
-        self.put("satables", &name, &merged.snapshot().to_bin());
+        self.put(ArtifactKind::Satables, &name, &merged.snapshot().to_bin());
         drop(lock);
         stats
     }
@@ -1315,7 +1350,7 @@ impl RemoteStore {
             endpoint: endpoint.clone(),
             pool: Mutex::new(Vec::new()),
         };
-        store.try_stat("prepared", "0")?;
+        store.try_stat(ArtifactKind::Prepared, "0")?;
         Ok(store)
     }
 
@@ -1362,7 +1397,7 @@ impl RemoteStore {
         )
     }
 
-    fn try_get(&self, kind: &str, name: &str) -> io::Result<Option<Vec<u8>>> {
+    fn try_get(&self, kind: ArtifactKind, name: &str) -> io::Result<Option<Vec<u8>>> {
         self.op(&mut |conn| {
             writeln!(conn.get_mut(), "store get {kind} {name}")?;
             conn.get_mut().flush()?;
@@ -1381,7 +1416,7 @@ impl RemoteStore {
         })
     }
 
-    fn try_put(&self, kind: &str, name: &str, content: &[u8]) -> io::Result<()> {
+    fn try_put(&self, kind: ArtifactKind, name: &str, content: &[u8]) -> io::Result<()> {
         self.op(&mut |conn| {
             let w = conn.get_mut();
             writeln!(w, "store put {kind} {name} {}", content.len())?;
@@ -1396,7 +1431,7 @@ impl RemoteStore {
         })
     }
 
-    fn try_stat(&self, kind: &str, name: &str) -> io::Result<bool> {
+    fn try_stat(&self, kind: ArtifactKind, name: &str) -> io::Result<bool> {
         self.op(&mut |conn| {
             writeln!(conn.get_mut(), "store stat {kind} {name}")?;
             conn.get_mut().flush()?;
@@ -1408,7 +1443,7 @@ impl RemoteStore {
         })
     }
 
-    fn try_list(&self, kind: &str) -> io::Result<Vec<String>> {
+    fn try_list(&self, kind: ArtifactKind) -> io::Result<Vec<String>> {
         self.op(&mut |conn| {
             writeln!(conn.get_mut(), "store list {kind}")?;
             conn.get_mut().flush()?;
@@ -1455,11 +1490,7 @@ impl RemoteStore {
     /// Bodies never cross the wire: the reply is one `bad` line per
     /// defective slot plus a `done` summary.
     fn try_fsck(&self, options: &FsckOptions) -> io::Result<FsckReport> {
-        let mode = match options.repair {
-            RepairMode::Off => "off",
-            RepairMode::Quarantine => "repair",
-            RepairMode::Fix => "repair-fix",
-        };
+        let mode = if options.repair { "repair" } else { "off" };
         let scope = if options.full { "full" } else { "fast" };
         self.op(&mut |conn| {
             writeln!(conn.get_mut(), "store fsck {mode} {scope}")?;
@@ -1469,23 +1500,17 @@ impl RemoteStore {
                 let line = Self::reply_line(conn)?;
                 let toks: Vec<&str> = line.split_whitespace().collect();
                 match toks.as_slice() {
-                    ["bad", kind, name, quarantined, fixed, problem] => {
-                        let kind = KINDS
-                            .iter()
-                            .find(|k| *k == kind)
-                            .copied()
+                    ["bad", kind, name, quarantined, problem] => {
+                        let kind = ArtifactKind::parse(kind)
                             .ok_or_else(|| Self::unexpected(&line, "a known artifact kind"))?;
-                        let quarantined = *quarantined == "1";
-                        let fixed = *fixed == "1";
                         report.issues.push(FsckIssue {
                             kind,
                             name: (*name).to_string(),
                             problem: unescape(problem).unwrap_or_else(|_| (*problem).to_string()),
-                            quarantined,
-                            fixed,
+                            quarantined: *quarantined == "1",
                         });
                     }
-                    ["done", scanned, skipped, defective, quarantined, fixed] => {
+                    ["done", scanned, skipped, defective, quarantined] => {
                         report.scanned = scanned
                             .parse()
                             .map_err(|_| Self::unexpected(&line, "`done` counters"))?;
@@ -1504,9 +1529,6 @@ impl RemoteStore {
                         report.quarantined = quarantined
                             .parse()
                             .map_err(|_| Self::unexpected(&line, "`done` counters"))?;
-                        report.fixed = fixed
-                            .parse()
-                            .map_err(|_| Self::unexpected(&line, "`done` counters"))?;
                         return Ok(report);
                     }
                     _ => return Err(Self::unexpected(&line, "`bad ...` or `done ...`")),
@@ -1521,7 +1543,7 @@ impl RemoteStore {
 }
 
 impl StoreBackend for RemoteStore {
-    fn get(&self, kind: &str, name: &str) -> Option<ArtifactBytes> {
+    fn get(&self, kind: ArtifactKind, name: &str) -> Option<ArtifactBytes> {
         match self.try_get(kind, name) {
             Ok(v) => v.map(ArtifactBytes::owned),
             Err(e) => {
@@ -1531,13 +1553,13 @@ impl StoreBackend for RemoteStore {
         }
     }
 
-    fn put(&self, kind: &str, name: &str, content: &[u8]) {
+    fn put(&self, kind: ArtifactKind, name: &str, content: &[u8]) {
         if let Err(e) = self.try_put(kind, name, content) {
             self.warn(&format!("put {kind}/{name}"), &e);
         }
     }
 
-    fn stat(&self, kind: &str, name: &str) -> bool {
+    fn stat(&self, kind: ArtifactKind, name: &str) -> bool {
         match self.try_stat(kind, name) {
             Ok(v) => v,
             Err(e) => {
@@ -1547,7 +1569,7 @@ impl StoreBackend for RemoteStore {
         }
     }
 
-    fn list(&self, kind: &str) -> io::Result<Vec<String>> {
+    fn list(&self, kind: ArtifactKind) -> io::Result<Vec<String>> {
         self.try_list(kind)
     }
 
@@ -1578,8 +1600,7 @@ impl StoreBackend for RemoteStore {
 #[derive(Debug)]
 pub struct ArtifactStore {
     backend: Box<dyn StoreBackend>,
-    counters: StoreCounters,
-    codec: CodecCounters,
+    counters: KindCounters,
 }
 
 impl ArtifactStore {
@@ -1640,8 +1661,7 @@ impl ArtifactStore {
     pub fn with_backend(backend: Box<dyn StoreBackend>) -> ArtifactStore {
         ArtifactStore {
             backend,
-            counters: StoreCounters::default(),
-            codec: CodecCounters::default(),
+            counters: KindCounters::default(),
         }
     }
 
@@ -1682,37 +1702,33 @@ impl ArtifactStore {
 
     /// Hit/miss counters since this handle was opened.
     pub fn counters(&self) -> StoreCounts {
-        let c = &self.counters;
+        let [prepared_hits, netlist_hits, sim_hits, _] = load_all(&self.counters.hits);
+        let [prepared_misses, netlist_misses, sim_misses, _] = load_all(&self.counters.misses);
         StoreCounts {
-            prepared_hits: c.prepared_hits.load(Ordering::Relaxed),
-            prepared_misses: c.prepared_misses.load(Ordering::Relaxed),
-            netlist_hits: c.netlist_hits.load(Ordering::Relaxed),
-            netlist_misses: c.netlist_misses.load(Ordering::Relaxed),
-            sim_hits: c.sim_hits.load(Ordering::Relaxed),
-            sim_misses: c.sim_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn tally(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
-        if hit {
-            hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            misses.fetch_add(1, Ordering::Relaxed);
+            prepared_hits,
+            prepared_misses,
+            netlist_hits,
+            netlist_misses,
+            sim_hits,
+            sim_misses,
         }
     }
 
     /// Per-kind decode/encode time since this handle was opened.
     pub fn codec(&self) -> CodecNanos {
-        let c = &self.codec;
+        let [prepared_decode_ns, netlist_decode_ns, sim_decode_ns, satable_decode_ns] =
+            load_all(&self.counters.decode_ns);
+        let [prepared_encode_ns, netlist_encode_ns, sim_encode_ns, satable_encode_ns] =
+            load_all(&self.counters.encode_ns);
         CodecNanos {
-            prepared_decode_ns: c.prepared_decode_ns.load(Ordering::Relaxed),
-            prepared_encode_ns: c.prepared_encode_ns.load(Ordering::Relaxed),
-            netlist_decode_ns: c.netlist_decode_ns.load(Ordering::Relaxed),
-            netlist_encode_ns: c.netlist_encode_ns.load(Ordering::Relaxed),
-            sim_decode_ns: c.sim_decode_ns.load(Ordering::Relaxed),
-            sim_encode_ns: c.sim_encode_ns.load(Ordering::Relaxed),
-            satable_decode_ns: c.satable_decode_ns.load(Ordering::Relaxed),
-            satable_encode_ns: c.satable_encode_ns.load(Ordering::Relaxed),
+            prepared_decode_ns,
+            prepared_encode_ns,
+            netlist_decode_ns,
+            netlist_encode_ns,
+            sim_decode_ns,
+            sim_encode_ns,
+            satable_decode_ns,
+            satable_encode_ns,
         }
     }
 
@@ -1725,24 +1741,55 @@ impl ArtifactStore {
         v
     }
 
+    /// Reads `(kind, name)` and decodes it with `decode`, charging the
+    /// decode to the kind's codec time. Absent, corrupt and
+    /// version-mismatched slots all come back `None`.
+    fn fetch<T>(
+        &self,
+        kind: ArtifactKind,
+        name: &str,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let data = self.backend.get(kind, name)?;
+        Self::timed(&self.counters.decode_ns[kind.index()], || decode(&data))
+    }
+
+    /// Counts a lookup of `kind` as a hit or a miss and passes it on.
+    fn tally<T>(&self, kind: ArtifactKind, loaded: Option<T>) -> Option<T> {
+        let counter = if loaded.is_some() {
+            &self.counters.hits
+        } else {
+            &self.counters.misses
+        };
+        counter[kind.index()].fetch_add(1, Ordering::Relaxed);
+        loaded
+    }
+
+    /// Encodes with `encode`, charging the kind's codec time, and
+    /// writes the bytes under `(kind, name)`.
+    fn save(&self, kind: ArtifactKind, name: &str, encode: impl FnOnce() -> Vec<u8>) {
+        let bytes = Self::timed(&self.counters.encode_ns[kind.index()], encode);
+        self.backend.put(kind, name, &bytes);
+    }
+
     // ---- raw access --------------------------------------------------------
 
     /// Raw artifact bytes by `(kind, name)`, bypassing the hit/miss
     /// accounting — the daemon's serving hook (client traffic must not
     /// pollute the daemon handle's own counters) and the merge
     /// primitive.
-    pub fn raw_get(&self, kind: &str, name: &str) -> Option<ArtifactBytes> {
+    pub fn raw_get(&self, kind: ArtifactKind, name: &str) -> Option<ArtifactBytes> {
         self.backend.get(kind, name)
     }
 
     /// Raw artifact write by `(kind, name)` (uncounted; see
     /// [`ArtifactStore::raw_get`]).
-    pub fn raw_put(&self, kind: &str, name: &str, content: &[u8]) {
+    pub fn raw_put(&self, kind: ArtifactKind, name: &str, content: &[u8]) {
         self.backend.put(kind, name, content);
     }
 
     /// Raw existence check (uncounted; see [`ArtifactStore::raw_get`]).
-    pub fn raw_stat(&self, kind: &str, name: &str) -> bool {
+    pub fn raw_stat(&self, kind: ArtifactKind, name: &str) -> bool {
         self.backend.stat(kind, name)
     }
 
@@ -1751,7 +1798,7 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates enumeration failures.
-    pub fn raw_list(&self, kind: &str) -> io::Result<Vec<String>> {
+    pub fn raw_list(&self, kind: ArtifactKind) -> io::Result<Vec<String>> {
         self.backend.list(kind)
     }
 
@@ -1768,70 +1815,51 @@ impl ArtifactStore {
         fp: Fingerprint,
         valid: impl FnOnce(&Schedule, &RegisterBinding) -> bool,
     ) -> Option<(Schedule, RegisterBinding)> {
+        let kind = ArtifactKind::Prepared;
         let loaded = self
-            .backend
-            .get("prepared", &fp.to_string())
-            .and_then(|data| Self::timed(&self.codec.prepared_decode_ns, || decode_prepared(&data)))
+            .fetch(kind, &fp.to_string(), decode_prepared)
             .filter(|(sched, rb)| valid(sched, rb));
-        Self::tally(
-            loaded.is_some(),
-            &self.counters.prepared_hits,
-            &self.counters.prepared_misses,
-        );
-        loaded
+        self.tally(kind, loaded)
     }
 
     /// Persists a schedule + register binding under its fingerprint.
     pub fn save_prepared(&self, fp: Fingerprint, sched: &Schedule, rb: &RegisterBinding) {
-        let bytes = Self::timed(&self.codec.prepared_encode_ns, || {
+        self.save(ArtifactKind::Prepared, &fp.to_string(), || {
             encode_prepared(sched, rb)
         });
-        self.backend.put("prepared", &fp.to_string(), &bytes);
     }
 
     // ---- mapped netlists ---------------------------------------------------
 
     /// Loads a cached elaborated+mapped netlist, or `None` on miss.
     pub fn load_mapped(&self, fp: Fingerprint) -> Option<MappedArtifact> {
-        let loaded = self
-            .backend
-            .get("netlists", &fp.to_string())
-            .and_then(|data| Self::timed(&self.codec.netlist_decode_ns, || decode_mapped(&data)));
-        Self::tally(
-            loaded.is_some(),
-            &self.counters.netlist_hits,
-            &self.counters.netlist_misses,
-        );
-        loaded
+        let kind = ArtifactKind::Netlists;
+        self.tally(kind, self.fetch(kind, &fp.to_string(), decode_mapped))
     }
 
     /// Persists a mapped netlist and its backend metrics.
     pub fn save_mapped(&self, fp: Fingerprint, artifact: &MappedArtifact) {
-        let bytes = Self::timed(&self.codec.netlist_encode_ns, || encode_mapped(artifact));
-        self.backend.put("netlists", &fp.to_string(), &bytes);
+        self.save(ArtifactKind::Netlists, &fp.to_string(), || {
+            encode_mapped(artifact)
+        });
     }
 
     // ---- simulation summaries ----------------------------------------------
 
     /// Loads a cached simulation summary, or `None` on miss.
     pub fn load_sim(&self, fp: Fingerprint) -> Option<SimStats> {
-        let loaded = self.backend.get("sims", &fp.to_string()).and_then(|data| {
-            Self::timed(&self.codec.sim_decode_ns, || {
-                SimStats::from_summary_bin(&data).ok()
-            })
+        let kind = ArtifactKind::Sims;
+        let loaded = self.fetch(kind, &fp.to_string(), |data| {
+            SimStats::from_summary_bin(data).ok()
         });
-        Self::tally(
-            loaded.is_some(),
-            &self.counters.sim_hits,
-            &self.counters.sim_misses,
-        );
-        loaded
+        self.tally(kind, loaded)
     }
 
     /// Persists a simulation summary.
     pub fn save_sim(&self, fp: Fingerprint, stats: &SimStats) {
-        let bytes = Self::timed(&self.codec.sim_encode_ns, || stats.to_summary_bin());
-        self.backend.put("sims", &fp.to_string(), &bytes);
+        self.save(ArtifactKind::Sims, &fp.to_string(), || {
+            stats.to_summary_bin()
+        });
     }
 
     // ---- SA-table shards ---------------------------------------------------
@@ -1840,13 +1868,11 @@ impl ArtifactStore {
     /// A shard whose header disagrees with its file name (mis-copied or
     /// hand-renamed) reads as a miss, like any other corrupt artifact.
     pub fn load_sa_table(&self, mode: SaMode, width: usize, k: usize) -> Option<SaTable> {
-        self.backend
-            .get("satables", &sa_shard_name(mode, width, k))
-            .and_then(|data| {
-                Self::timed(&self.codec.satable_decode_ns, || {
-                    shard_from_bytes(&data, mode, width, k)
-                })
-            })
+        self.fetch(
+            ArtifactKind::Satables,
+            &sa_shard_name(mode, width, k),
+            |data| shard_from_bytes(data, mode, width, k),
+        )
     }
 
     /// Merges a table into the shard for its `(mode, width, k)`:
@@ -1875,42 +1901,47 @@ impl ArtifactStore {
     pub fn merge_from(&self, other: &ArtifactStore) -> io::Result<MergeReport> {
         let mut report = MergeReport::default();
         let both_local = self.backend.root().is_some() && other.backend.root().is_some();
-        for kind in ["prepared", "netlists", "sims"] {
+        for kind in ArtifactKind::ALL {
             for name in other.raw_list(kind)? {
-                if !self.raw_stat(kind, &name) {
-                    if let Some(content) = other.raw_get(kind, &name) {
-                        self.raw_put(kind, &name, &content);
-                        report.copied += 1;
-                    }
-                    continue;
-                }
-                // Present on both sides. Artifacts are content-addressed
-                // (the name is the fingerprint), so matching names mean
-                // matching bytes barring version skew; the byte-level
-                // integrity compare is kept where reads are free-ish
-                // (both stores local) and skipped where it would double
-                // the wire traffic of a warm remote merge.
-                if both_local {
-                    match (other.raw_get(kind, &name), self.raw_get(kind, &name)) {
-                        (Some(src), Some(dst)) if src.as_ref() != dst.as_ref() => {
-                            report.conflicting += 1
+                match kind {
+                    ArtifactKind::Prepared | ArtifactKind::Netlists | ArtifactKind::Sims => {
+                        if !self.raw_stat(kind, &name) {
+                            if let Some(content) = other.raw_get(kind, &name) {
+                                self.raw_put(kind, &name, &content);
+                                report.copied += 1;
+                            }
+                            continue;
                         }
-                        _ => report.identical += 1,
+                        // Present on both sides. Artifacts are
+                        // content-addressed (the name is the fingerprint),
+                        // so matching names mean matching bytes barring
+                        // version skew; the byte-level integrity compare is
+                        // kept where reads are free-ish (both stores local)
+                        // and skipped where it would double the wire
+                        // traffic of a warm remote merge.
+                        let differ = both_local
+                            && matches!(
+                                (other.raw_get(kind, &name), self.raw_get(kind, &name)),
+                                (Some(src), Some(dst)) if src.as_ref() != dst.as_ref()
+                            );
+                        if differ {
+                            report.conflicting += 1;
+                        } else {
+                            report.identical += 1;
+                        }
                     }
-                } else {
-                    report.identical += 1;
+                    ArtifactKind::Satables => {
+                        let Some(data) = other.raw_get(kind, &name) else {
+                            continue;
+                        };
+                        if let Ok(table) = SaTable::from_bin(&data) {
+                            let s = self.merge_sa_table(&table);
+                            report.sa.inserted += s.inserted;
+                            report.sa.matched += s.matched;
+                            report.sa.conflicting += s.conflicting;
+                        }
+                    }
                 }
-            }
-        }
-        for name in other.raw_list("satables")? {
-            let Some(data) = other.raw_get("satables", &name) else {
-                continue;
-            };
-            if let Ok(table) = SaTable::from_bin(&data) {
-                let s = self.merge_sa_table(&table);
-                report.sa.inserted += s.inserted;
-                report.sa.matched += s.matched;
-                report.sa.conflicting += s.conflicting;
             }
         }
         Ok(report)
@@ -1926,27 +1957,22 @@ impl ArtifactStore {
     /// stores (run it on the daemon host).
     pub fn usage(&self) -> io::Result<StoreUsage> {
         let root = self.local_root()?;
-        let kind = |sub: &str| -> io::Result<KindUsage> {
-            let mut usage = KindUsage::default();
-            for entry in fs::read_dir(root.join(sub))? {
+        let mut usage = StoreUsage::default();
+        for kind in ArtifactKind::ALL {
+            let row = &mut usage.kinds[kind.index()];
+            for entry in fs::read_dir(root.join(kind.dir()))? {
                 let entry = entry?;
                 let name = entry.file_name().to_string_lossy().into_owned();
                 if is_artifact_file(&name) {
-                    usage.files += 1;
-                    usage.bytes += entry.metadata()?.len();
+                    row.files += 1;
+                    row.bytes += entry.metadata()?.len();
                 } else if is_quarantine_file(&name) {
-                    usage.quarantined += 1;
-                    usage.quarantined_bytes += entry.metadata()?.len();
+                    row.quarantined += 1;
+                    row.quarantined_bytes += entry.metadata()?.len();
                 }
             }
-            Ok(usage)
-        };
-        Ok(StoreUsage {
-            prepared: kind("prepared")?,
-            netlists: kind("netlists")?,
-            sims: kind("sims")?,
-            satables: kind("satables")?,
-        })
+        }
+        Ok(usage)
     }
 
     /// Prunes the store (local stores only): leftover `*.tmp.*` files
@@ -1971,8 +1997,8 @@ impl ArtifactStore {
         let mut report = GcReport::default();
         // (modified, path, bytes) for every finished artifact.
         let mut files: Vec<(SystemTime, PathBuf, u64)> = Vec::new();
-        for sub in KINDS {
-            for entry in fs::read_dir(root.join(sub))? {
+        for kind in ArtifactKind::ALL {
+            for entry in fs::read_dir(root.join(kind.dir()))? {
                 let entry = entry?;
                 let name = entry.file_name().to_string_lossy().into_owned();
                 let path = entry.path();
@@ -2046,20 +2072,15 @@ impl ArtifactStore {
     }
 
     /// Audits every artifact in the store ([`audit_artifact_bytes`] per
-    /// `(kind, name)`) and reports each defect. Compatibility wrapper
-    /// over [`ArtifactStore::fsck_with`]: `repair` maps to
-    /// [`RepairMode::Quarantine`], warm watermarks are honored.
+    /// `(kind, name)`) and reports each defect: [`ArtifactStore::fsck_with`]
+    /// with `repair` as given and warm watermarks honored.
     ///
     /// # Errors
     ///
     /// See [`ArtifactStore::fsck_with`].
     pub fn fsck(&self, repair: bool) -> io::Result<FsckReport> {
         self.fsck_with(&FsckOptions {
-            repair: if repair {
-                RepairMode::Quarantine
-            } else {
-                RepairMode::Off
-            },
+            repair,
             full: false,
         })
     }
@@ -2076,15 +2097,10 @@ impl ArtifactStore {
     /// fingerprint). `options.full` ignores watermarks; a bumped
     /// [`crate::AUDITOR_VERSION`] invalidates them all implicitly.
     ///
-    /// With [`RepairMode::Quarantine`], each defective file is renamed
-    /// aside to `<file>.bad`. With [`RepairMode::Fix`], defective
-    /// netlist artifacts first get a mechanical repair attempt
-    /// ([`netlist::fix_netlist`]): the pre-fix bytes are quarantined as
-    /// evidence, and the fixed artifact is written back only after it
-    /// re-audits clean under the full auditor — otherwise the slot
-    /// falls back to plain quarantine. Quarantined files stop serving
-    /// lookups but stay on disk, counted by [`ArtifactStore::usage`]
-    /// and [`ArtifactStore::gc`].
+    /// With `options.repair`, each defective file is renamed aside to
+    /// `<file>.bad`: it stops serving lookups, so the next run that
+    /// needs the slot recomputes it, while the evidence stays on disk,
+    /// counted by [`ArtifactStore::usage`] and [`ArtifactStore::gc`].
     ///
     /// # Errors
     ///
@@ -2097,7 +2113,7 @@ impl ArtifactStore {
         }
         let root = self.backend.root();
         let mut report = FsckReport::default();
-        for kind in KINDS {
+        for kind in ArtifactKind::ALL {
             let names = self.raw_list(kind)?;
             if let Some(root) = root {
                 audit::sweep_orphan_watermarks(root, kind, &names);
@@ -2128,21 +2144,11 @@ impl ArtifactStore {
                                 }
                                 continue;
                             }
-                            Err(problem) => {
-                                self.handle_defect(
-                                    kind,
-                                    &name,
-                                    &data,
-                                    problem,
-                                    options,
-                                    &mut report,
-                                );
-                                continue;
-                            }
+                            Err(problem) => problem,
                         }
                     }
                 };
-                let quarantined = options.repair != RepairMode::Off && self.quarantine(kind, &name);
+                let quarantined = options.repair && self.quarantine(kind, &name);
                 if quarantined {
                     report.quarantined += 1;
                 }
@@ -2151,100 +2157,21 @@ impl ArtifactStore {
                     name,
                     problem,
                     quarantined,
-                    fixed: false,
                 });
             }
         }
         Ok(report)
     }
 
-    /// Handles one audit-failing slot per `options.repair`: fix (with
-    /// quarantine of the pre-fix bytes), quarantine, or report only.
-    fn handle_defect(
-        &self,
-        kind: &'static str,
-        name: &str,
-        data: &[u8],
-        problem: String,
-        options: &FsckOptions,
-        report: &mut FsckReport,
-    ) {
-        let mut quarantined = false;
-        let mut fixed = false;
-        if options.repair == RepairMode::Fix {
-            if let Some(repaired) = self.try_fix_artifact(kind, name, data) {
-                // Quarantine the evidence FIRST so a crash between the
-                // two steps loses the defective bytes, never keeps them
-                // serving; then install the re-audited replacement.
-                quarantined = self.quarantine(kind, name);
-                self.raw_put(kind, name, &repaired);
-                if let Some(root) = self.backend.root() {
-                    if let Some(wm) = audit::slot_path(root, kind, name)
-                        .and_then(|path| audit::Watermark::of(&path, &repaired))
-                    {
-                        audit::write_watermark(root, kind, name, &wm);
-                    }
-                }
-                fixed = true;
-            }
-        }
-        if !fixed && options.repair != RepairMode::Off {
-            quarantined = self.quarantine(kind, name);
-        }
-        if quarantined {
-            report.quarantined += 1;
-        }
-        if fixed {
-            report.fixed += 1;
-        }
-        report.issues.push(FsckIssue {
-            kind,
-            name: name.to_string(),
-            problem,
-            quarantined,
-            fixed,
-        });
-    }
-
-    /// Attempts a mechanical repair of a defective artifact. Only
-    /// netlist artifacts are fixable (the checker's [`netlist::Fix`]
-    /// plans operate on graphs); the result is accepted only when the
-    /// fix loop converges to zero violations, the fix actually changed
-    /// something, and the re-encoded bytes pass the **full** audit
-    /// stack. Returns the replacement bytes, or `None` when no sound fix
-    /// exists.
-    fn try_fix_artifact(&self, kind: &str, name: &str, data: &[u8]) -> Option<Vec<u8>> {
-        if kind != "netlists" {
-            return None;
-        }
-        let artifact = decode_mapped_unchecked(data)?;
-        let out = netlist::fix_netlist(&artifact.netlist);
-        if out.applied == 0 || !out.report.violations.is_empty() {
-            return None;
-        }
-        // Derived metrics must describe the repaired graph. depth() is
-        // safe here: a violation-free graph proved acyclic.
-        let repaired = MappedArtifact {
-            luts: out.netlist.num_logic(),
-            depth: out.netlist.depth(),
-            estimated_sa: artifact.estimated_sa,
-            registers: artifact.registers,
-            netlist: out.netlist,
-        };
-        let bytes = encode_mapped(&repaired);
-        audit_artifact_bytes(kind, name, &bytes).ok()?;
-        Some(bytes)
-    }
-
     /// Renames a defective artifact's file aside to `*.bin.bad` so it
     /// stops serving lookups, and drops the slot's audit watermark (the
     /// clean verdict died with the bytes). Local stores only; returns
     /// whether the file was actually moved.
-    fn quarantine(&self, kind: &str, name: &str) -> bool {
+    fn quarantine(&self, kind: ArtifactKind, name: &str) -> bool {
         let Ok(root) = self.local_root() else {
             return false;
         };
-        let path = root.join(kind).join(format!("{name}.bin"));
+        let path = kind.slot(root, name);
         let moved = fs::rename(&path, path.with_extension("bin.bad")).is_ok();
         if moved {
             audit::invalidate_watermark(root, kind, name);
@@ -2417,6 +2344,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use super::ArtifactKind::{Netlists, Prepared, Satables, Sims};
     use super::*;
     use crate::fingerprint::{netlist_fingerprint, prepared_fingerprint};
     use crate::flow::{self, paper_constraint, FlowConfig};
@@ -2654,10 +2582,10 @@ mod tests {
 
         // Accounting sees every artifact kind the run produced.
         let usage = store.usage().unwrap();
-        assert_eq!(usage.prepared.files, 1);
-        assert_eq!(usage.netlists.files, 1);
-        assert_eq!(usage.sims.files, 1);
-        assert_eq!(usage.satables.files, 1);
+        assert_eq!(usage.of(Prepared).files, 1);
+        assert_eq!(usage.of(Netlists).files, 1);
+        assert_eq!(usage.of(Sims).files, 1);
+        assert_eq!(usage.of(Satables).files, 1);
         assert!(usage.total().bytes > 0);
         assert!(usage.total().files == 4);
         assert!(usage.to_string().contains("total"));
@@ -2831,8 +2759,8 @@ mod tests {
         )
         .unwrap();
         assert!(store.load_sim(fp).is_none(), "a legacy slot is a miss");
-        assert!(!store.raw_stat("sims", &fp.to_string()));
-        assert!(store.raw_list("sims").unwrap().is_empty());
+        assert!(!store.raw_stat(Sims, &fp.to_string()));
+        assert!(store.raw_list(Sims).unwrap().is_empty());
         let stats = SimStats {
             cycles: 1,
             total_transitions: 10,
@@ -2843,11 +2771,15 @@ mod tests {
         store.save_sim(fp, &stats);
         assert!(sims.join(format!("{fp}.bin")).exists());
         assert_eq!(store.load_sim(fp).unwrap().total_transitions, 10);
-        assert_eq!(store.raw_list("sims").unwrap(), vec![fp.to_string()]);
+        assert_eq!(store.raw_list(Sims).unwrap(), vec![fp.to_string()]);
         let report = store.fsck(false).unwrap();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.scanned, 1, "fsck walks the .bin slot only");
-        assert_eq!(store.usage().unwrap().sims.files, 2, "usage counts both");
+        assert_eq!(
+            store.usage().unwrap().of(Sims).files,
+            2,
+            "usage counts both"
+        );
         let wipe = store
             .gc(&GcPolicy {
                 max_age: None,
@@ -2863,17 +2795,17 @@ mod tests {
     #[test]
     fn backend_raw_access_and_listing() {
         let store = temp_store("raw");
-        assert!(!store.raw_stat("sims", "aa"));
-        store.raw_put("sims", "aa", b"body-a");
-        store.raw_put("sims", "bb", b"body-b");
-        assert!(store.raw_stat("sims", "aa"));
+        assert!(!store.raw_stat(Sims, "aa"));
+        store.raw_put(Sims, "aa", b"body-a");
+        store.raw_put(Sims, "bb", b"body-b");
+        assert!(store.raw_stat(Sims, "aa"));
         assert_eq!(
-            store.raw_get("sims", "aa").as_deref(),
+            store.raw_get(Sims, "aa").as_deref(),
             Some(b"body-a".as_ref())
         );
-        assert!(store.raw_get("sims", "zz").is_none());
-        assert_eq!(store.raw_list("sims").unwrap(), vec!["aa", "bb"]);
-        assert_eq!(store.raw_list("netlists").unwrap(), Vec::<String>::new());
+        assert!(store.raw_get(Sims, "zz").is_none());
+        assert_eq!(store.raw_list(Sims).unwrap(), vec!["aa", "bb"]);
+        assert_eq!(store.raw_list(Netlists).unwrap(), Vec::<String>::new());
         // Raw access is uncounted: it serves the daemon's wire verbs and
         // must not pollute the handle's hit/miss attribution.
         assert_eq!(store.counters(), StoreCounts::default());
@@ -2912,11 +2844,14 @@ mod tests {
         ] {
             assert!(!valid_name(bad), "{bad:?}");
         }
-        for kind in KINDS {
-            assert!(valid_kind(kind));
+        for kind in ArtifactKind::ALL {
+            assert_eq!(ArtifactKind::parse(kind.dir()), Some(kind));
+            assert_eq!(kind.to_string(), kind.dir());
+            assert_eq!(ArtifactKind::ALL[kind.index()], kind);
         }
-        assert!(!valid_kind("locks"));
-        assert!(!valid_kind(""));
+        assert_eq!(ArtifactKind::parse("locks"), None);
+        assert_eq!(ArtifactKind::parse(""), None);
+        assert_eq!(ArtifactKind::parse("Sims"), None);
     }
 
     /// A store holding one real artifact of every kind, produced by the
@@ -2968,7 +2903,7 @@ mod tests {
         // --full ignores the watermarks and re-audits everything.
         let full = store
             .fsck_with(&FsckOptions {
-                repair: RepairMode::Off,
+                repair: false,
                 full: true,
             })
             .unwrap();
@@ -3003,14 +2938,19 @@ mod tests {
             registers: 1,
         };
         let bad_fp = Fingerprint(0xbad).to_string();
-        store.raw_put("netlists", &bad_fp, &encode_mapped(&broken));
-        // And one artifact filed under a name that is no fingerprint.
-        store.raw_put("sims", "not-a-fingerprint", b"# hlpower sim v1\n");
+        store.raw_put(Netlists, &bad_fp, &encode_mapped(&broken));
+        // One artifact filed under a name that is no fingerprint.
+        store.raw_put(Sims, "not-a-fingerprint", b"# hlpower sim v1\n");
+        // And a mapped artifact with two identical drivers on one net:
+        // error-grade, yet mechanically fixable. It is quarantined like
+        // any other defect; nothing rewrites the slot.
+        let twin_fp = Fingerprint(0xf1f).to_string();
+        store.raw_put(Netlists, &twin_fp, &fixable_mapped_bin());
 
         let report = store.fsck(false).unwrap();
-        assert_eq!(report.issues.len(), 3, "{report}");
+        assert_eq!(report.issues.len(), 4, "{report}");
         assert_eq!(report.quarantined, 0, "report-only walk renames nothing");
-        let problem_of = |kind: &str, name: &str| -> &str {
+        let problem_of = |kind: ArtifactKind, name: &str| -> &str {
             &report
                 .issues
                 .iter()
@@ -3020,41 +2960,52 @@ mod tests {
         };
         let sim_name = sim_file.file_stem().unwrap().to_str().unwrap().to_string();
         assert!(
-            problem_of("sims", &sim_name).contains("binary container"),
+            problem_of(Sims, &sim_name).contains("binary container"),
             "{report}"
         );
         assert!(
-            problem_of("netlists", &bad_fp).contains("no data driver"),
+            problem_of(Netlists, &bad_fp).contains("no data driver"),
             "{report}"
         );
         assert!(
-            problem_of("sims", "not-a-fingerprint").contains("fingerprint"),
+            problem_of(Sims, "not-a-fingerprint").contains("fingerprint"),
+            "{report}"
+        );
+        assert!(
+            problem_of(Netlists, &twin_fp).contains("multiply driven"),
             "{report}"
         );
 
         // --repair renames the defective files aside ...
         let repaired = store.fsck(true).unwrap();
-        assert_eq!(repaired.issues.len(), 3);
-        assert_eq!(repaired.quarantined, 3);
+        assert_eq!(repaired.issues.len(), 4);
+        assert_eq!(repaired.quarantined, 4);
         assert!(repaired.issues.iter().all(|i| i.quarantined), "{repaired}");
+        // ... keeping their bytes as evidence ...
+        let twin_bad = store
+            .root()
+            .join("netlists")
+            .join(format!("{twin_fp}.bin.bad"));
+        assert_eq!(fs::read(&twin_bad).unwrap(), fixable_mapped_bin());
         // ... after which they stop serving lookups and listings ...
-        assert!(store.raw_get("netlists", &bad_fp).is_none());
-        assert!(store.raw_get("sims", &sim_name).is_none());
+        assert!(store.raw_get(Netlists, &bad_fp).is_none());
+        assert!(store.raw_get(Netlists, &twin_fp).is_none());
+        assert!(store.raw_get(Sims, &sim_name).is_none());
         assert!(store.fsck(false).unwrap().is_clean());
         // ... but stay visible to usage and gc accounting.
         let usage = store.usage().unwrap();
-        assert_eq!(usage.total().quarantined, 3);
+        assert_eq!(usage.total().quarantined, 4);
         assert!(usage.total().quarantined_bytes > 0);
-        assert_eq!(usage.sims.quarantined, 2);
-        assert_eq!(usage.netlists.quarantined, 1);
+        assert_eq!(usage.of(Sims).quarantined, 2);
+        assert_eq!(usage.of(Netlists).quarantined, 2);
         assert!(format!("{usage}").contains("quarantined"));
         let gc = store.gc(&GcPolicy::default()).unwrap();
-        assert_eq!(gc.quarantined, 3, "gc counts quarantined files");
-        assert!(format!("{gc}").contains("3 quarantined file(s)"));
+        assert_eq!(gc.quarantined, 4, "gc counts quarantined files");
+        assert!(format!("{gc}").contains("4 quarantined file(s)"));
         let after = store.usage().unwrap();
         assert_eq!(
             after.total().quarantined,
-            3,
+            4,
             "gc must never delete quarantine evidence"
         );
     }
@@ -3072,22 +3023,21 @@ mod tests {
         };
         let sim = stats.to_summary_bin();
         let fp = Fingerprint(1).to_string();
-        assert!(audit_artifact_bytes("sims", &fp, &sim).is_ok());
-        let err = audit_artifact_bytes("prepared", &fp, &sim).unwrap_err();
+        assert!(audit_artifact_bytes(Sims, &fp, &sim).is_ok());
+        let err = audit_artifact_bytes(Prepared, &fp, &sim).unwrap_err();
         assert!(err.contains("does not match store kind"), "{err}");
         // An SA shard whose header disagrees with the name it is filed
         // under (hand-renamed or mis-copied).
         let mut sa = SaTable::new(4, 4);
         sa.insert(FuType::Mul, 1, 1, 2.0);
         let shard = sa.to_bin();
-        assert!(audit_artifact_bytes("satables", "precalculated-w4-k4", &shard).is_ok());
-        let err = audit_artifact_bytes("satables", "precalculated-w8-k4", &shard).unwrap_err();
+        assert!(audit_artifact_bytes(Satables, "precalculated-w4-k4", &shard).is_ok());
+        let err = audit_artifact_bytes(Satables, "precalculated-w8-k4", &shard).unwrap_err();
         assert!(err.contains("disagrees with its name"), "{err}");
-        let err = audit_artifact_bytes("satables", "oddly-named", &shard).unwrap_err();
+        let err = audit_artifact_bytes(Satables, "oddly-named", &shard).unwrap_err();
         assert!(err.contains("shard stem"), "{err}");
-        // Unknown kinds and unsafe names are refused outright.
-        assert!(audit_artifact_bytes("locks", &fp, &sim).is_err());
-        assert!(audit_artifact_bytes("sims", "../escape", &sim).is_err());
+        // Unsafe names are refused outright.
+        assert!(audit_artifact_bytes(Sims, "../escape", &sim).is_err());
     }
 
     #[test]
@@ -3100,7 +3050,7 @@ mod tests {
         let store = populated_store("fuzz");
         let mut mutations = 0usize;
         let mut rejected = 0usize;
-        for kind in KINDS {
+        for kind in ArtifactKind::ALL {
             for name in store.raw_list(kind).unwrap() {
                 let good = store.raw_get(kind, &name).unwrap();
                 assert!(
@@ -3223,7 +3173,7 @@ mod tests {
         // (4) --full ignores every watermark.
         let full = store
             .fsck_with(&FsckOptions {
-                repair: RepairMode::Off,
+                repair: false,
                 full: true,
             })
             .unwrap();
@@ -3235,11 +3185,11 @@ mod tests {
 
     /// A binary mapped artifact whose netlist carries an error-grade but
     /// mechanically fixable defect: two identically-named, identical
-    /// AND drivers (`MultiplyDriven`), plus a dead node that becomes a
-    /// droppable orphan. Hand-assembled with the public container
-    /// writer because every in-crate encoder (correctly) refuses to
-    /// build duplicate-name graphs — which is exactly why the binary
-    /// decode path trusts names and the checker must not.
+    /// AND drivers (`MultiplyDriven`), plus a dead node. Hand-assembled
+    /// with the public container writer because every in-crate encoder
+    /// (correctly) refuses to build duplicate-name graphs — which is
+    /// exactly why the binary decode path trusts names and the checker
+    /// must not.
     fn fixable_mapped_bin() -> Vec<u8> {
         use netlist::binio::{put_str, BinWriter, KIND_MAPPED, KIND_NETLIST, NETLIST_VERSION};
         use netlist::TruthTable;
@@ -3289,102 +3239,13 @@ mod tests {
     }
 
     #[test]
-    fn fsck_repair_fix_mends_what_it_can_and_quarantines_the_rest() {
-        let store = populated_store("fsck-fix");
-        assert!(store.fsck(false).unwrap().is_clean());
-        // Plant the fixable defect and one unfixable one (an undriven
-        // latch has no sound mechanical repair).
-        let fixable_fp = Fingerprint(0xf1f).to_string();
-        store.raw_put("netlists", &fixable_fp, &fixable_mapped_bin());
-        let mut nl = Netlist::new("hopeless");
-        nl.add_latch("q", false);
-        let unfixable = MappedArtifact {
-            netlist: nl,
-            luts: 0,
-            depth: 0,
-            estimated_sa: 0.0,
-            registers: 1,
-        };
-        let unfixable_fp = Fingerprint(0xdead).to_string();
-        store.raw_put("netlists", &unfixable_fp, &encode_mapped(&unfixable));
-        assert!(
-            audit_artifact_bytes("netlists", &fixable_fp, &fixable_mapped_bin()).is_err(),
-            "the planted artifact really is defective"
-        );
-
-        let report = store
-            .fsck_with(&FsckOptions {
-                repair: RepairMode::Fix,
-                full: false,
-            })
-            .unwrap();
-        assert_eq!(report.issues.len(), 2, "{report}");
-        assert_eq!(report.fixed, 1, "{report}");
-        assert_eq!(report.quarantined, 2, "pre-fix bytes are evidence too");
-        let fixed_issue = report
-            .issues
-            .iter()
-            .find(|i| i.name == fixable_fp)
-            .expect("fixable slot reported");
-        assert!(fixed_issue.fixed && fixed_issue.quarantined, "{report}");
-        let hopeless = report
-            .issues
-            .iter()
-            .find(|i| i.name == unfixable_fp)
-            .expect("unfixable slot reported");
-        assert!(!hopeless.fixed && hopeless.quarantined, "{report}");
-        assert!(format!("{report}").contains("1 fixed"), "{report}");
-
-        // The fixed slot serves again, audits clean under the full
-        // auditor, and its repaired netlist lost the
-        // duplicate driver and the dead cone but kept both outputs.
-        let fixed_bytes = store
-            .raw_get("netlists", &fixable_fp)
-            .expect("fixed slot still serves");
-        assert!(audit_artifact_bytes("netlists", &fixable_fp, &fixed_bytes).is_ok());
-        let fixed = decode_mapped_unchecked(&fixed_bytes).unwrap();
-        assert_eq!(fixed.netlist.num_nodes(), 3, "a, dup, y survive");
-        assert_eq!(fixed.netlist.outputs().len(), 2);
-        assert_eq!(fixed.luts, 2, "derived metrics recomputed");
-        // The pre-fix bytes are quarantined, not destroyed.
-        let bad = store
-            .root()
-            .join("netlists")
-            .join(format!("{fixable_fp}.bin.bad"));
-        assert_eq!(
-            fs::read(&bad).expect("pre-fix bytes preserved"),
-            fixable_mapped_bin()
-        );
-        // The unfixable slot is gone from service.
-        assert!(store.raw_get("netlists", &unfixable_fp).is_none());
-        // A rerun is clean — and warm: the fixed slot's watermark was
-        // written from the repaired bytes.
-        let rerun = store.fsck(false).unwrap();
-        assert!(rerun.is_clean(), "{rerun}");
-        assert_eq!(rerun.audited(), 0, "{rerun}");
-        // Byte-stability: fixing an already-fixed store changes nothing.
-        let again = store
-            .fsck_with(&FsckOptions {
-                repair: RepairMode::Fix,
-                full: true,
-            })
-            .unwrap();
-        assert!(again.is_clean(), "{again}");
-        assert_eq!(
-            store.raw_get("netlists", &fixable_fp).unwrap().to_vec(),
-            fixed_bytes.to_vec(),
-            "repaired bytes are a fixpoint"
-        );
-    }
-
-    #[test]
     fn rewrite_never_resurrects_quarantine_and_resets_the_audit_story() {
         let store = populated_store("rewrite-bad-twins");
         // Quarantine a corrupt slot, then put a *good* artifact under
         // the same name: the live slot and its `.bad` twin now coexist.
         let fp = Fingerprint(0xc0);
         let name = fp.to_string();
-        store.raw_put("sims", &name, b"garbage");
+        store.raw_put(Sims, &name, b"garbage");
         let report = store.fsck(true).unwrap();
         assert_eq!(report.quarantined, 1, "{report}");
         let stats = SimStats {

@@ -21,8 +21,9 @@
 //! turns a report into a [`FixPlan`] (drop orphans, rewire singleton
 //! muxes, dedupe structurally identical multiply-drivers) and
 //! [`apply_fixes`] rebuilds the graph with the plan applied. Nothing
-//! here rewrites an artifact — callers (`hlp check --fix`,
-//! `fsck --repair=fix`) decide when a plan may touch bytes.
+//! here rewrites a file: `hlp check --fix` applies plans to bare netlist
+//! files only. A defective store artifact is never mended; `hlp fsck
+//! --repair` quarantines it and the next run recomputes it.
 
 use crate::graph::{Netlist, Node, NodeId, NodeKind};
 use crate::truth::TruthTable;
@@ -782,8 +783,8 @@ const MAX_FIX_PASSES: usize = 8;
 /// expose another singleton), which is why one pass is not enough.
 ///
 /// The caller decides what the final [`FixOutcome::report`] means:
-/// `fsck --repair=fix` demands it comes back fully clean before any
-/// byte is rewritten, `hlp check --fix` reports residual violations.
+/// `hlp check --fix` demands it comes back fully clean before any byte
+/// is rewritten.
 pub fn fix_netlist(nl: &Netlist) -> FixOutcome {
     let mut current = nl.clone();
     let mut applied = 0usize;

@@ -41,19 +41,19 @@
 //!                                   artifacts and netlists
 //!                                   (one verdict line per file; exit 1
 //!                                   if any fails); --fix mechanically
-//!                                   repairs netlist-carrying files in
-//!                                   place (original kept at FILE.bak)
-//! hlp fsck --store DIR|remote:ADDR [--repair[=fix]] [--full]
+//!                                   repairs bare netlist files (binary
+//!                                   or text) in place (original kept
+//!                                   at FILE.bak) and never rewrites a
+//!                                   store artifact
+//! hlp fsck --store DIR|remote:ADDR [--repair] [--full]
 //!                                   audit every artifact in a store
 //!                                   (container proof, codec decode,
 //!                                   semantic check); incremental — slots
 //!                                   whose audit watermark still matches
 //!                                   are skipped unless --full; --repair
 //!                                   renames defective files aside to
-//!                                   *.bad, --repair=fix first attempts a
-//!                                   mechanical fix (pre-fix bytes are
-//!                                   quarantined, the fix must re-audit
-//!                                   clean); a remote store is audited in
+//!                                   *.bad, so the next run recomputes
+//!                                   them; a remote store is audited in
 //!                                   place by its daemon — verdicts, not
 //!                                   artifact bodies, cross the wire
 //! hlp gc --store DIR [--max-age-days D] [--max-bytes B]
@@ -136,7 +136,7 @@ fn usage() -> ! {
          [--max-clients N] [--workers N] [--queue-depth N] [--flush-every SECS] \
          | --stop | --stats | --fsck-status\n\
          hlp batch --remote ADDR [FILE]\n\
-         hlp fsck --store DIR|remote:ADDR [--repair[=fix]] [--full]\n\
+         hlp fsck --store DIR|remote:ADDR [--repair] [--full]\n\
          hlp check [--fix] FILE..."
     );
     exit(2)
@@ -721,9 +721,11 @@ fn check_one(path: &str) -> Result<String, String> {
     }
 }
 
-/// Repairs one file in place for `hlp check --fix`: the original is
-/// kept at `FILE.bak` and the fix must re-audit clean before the slot
-/// is rewritten. Source files (`.blif`/`.cdfg`) are check-only.
+/// Repairs one bare netlist file in place for `hlp check --fix`: the
+/// original is kept at `FILE.bak` and the fix must re-audit clean
+/// before the file is rewritten. Source files (`.blif`/`.cdfg`) are
+/// check-only, and store artifacts are refused
+/// ([`hlpower::fix_artifact_auto`]).
 fn fix_one(path: &str) -> Result<String, String> {
     if path.ends_with(".blif") || path.ends_with(".cdfg") {
         // Sources are authored, not derived; a mechanical rewrite of
@@ -753,7 +755,7 @@ fn fix_one(path: &str) -> Result<String, String> {
 
 /// `hlp check [--fix] FILE...`: static checking of netlists, CDFGs, and
 /// store artifacts, one verdict line per file. Exit 1 when any file
-/// fails. `--fix` mechanically repairs netlist-carrying files in place
+/// fails. `--fix` mechanically repairs bare netlist files in place
 /// (original kept at `FILE.bak`).
 fn check_files(args: &[String]) {
     let fix = args.iter().any(|a| a == "--fix");
@@ -780,22 +782,20 @@ fn check_files(args: &[String]) {
 }
 
 /// `hlp fsck`: audit every artifact in a store — incrementally, via the
-/// persisted audit watermarks — optionally repairing defects
-/// (`--repair` quarantines, `--repair=fix` tries a mechanical fix
-/// first). Exit 1 when any artifact fails. Remote stores are audited
-/// in place by their daemon: verdicts cross the wire, bodies do not.
+/// persisted audit watermarks — optionally quarantining defects
+/// (`--repair`) so the next run recomputes them. Exit 1 when any
+/// artifact fails. Remote stores are audited in place by their daemon:
+/// verdicts cross the wire, bodies do not.
 fn fsck(args: &[String]) {
-    use hlpower::{FsckOptions, RepairMode};
     let mut store: Option<String> = None;
-    let mut repair = RepairMode::Off;
+    let mut repair = false;
     let mut full = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].clone();
         match flag.as_str() {
             "--store" => store = Some(take_value(args, &mut i, &flag)),
-            "--repair" => repair = RepairMode::Quarantine,
-            "--repair=fix" => repair = RepairMode::Fix,
+            "--repair" => repair = true,
             "--full" => full = true,
             other => {
                 eprintln!("hlp fsck: unknown flag `{other}`");
@@ -818,7 +818,7 @@ fn fsck(args: &[String]) {
             .unwrap_or_else(|e| die(format!("cannot open artifact store: {e}")))
     };
     let report = store
-        .fsck_with(&FsckOptions { repair, full })
+        .fsck_with(&hlpower::FsckOptions { repair, full })
         .unwrap_or_else(|e| die(format!("fsck of `{spec}` failed: {e}")));
     println!("{report}");
     if !report.is_clean() {

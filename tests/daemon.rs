@@ -399,12 +399,8 @@ fn a_wire_fsck_sweep_surfaces_in_fsck_status_and_stats() {
     assert_eq!(
         done,
         format!(
-            "done {} {} {} {} {}",
-            status.scanned,
-            status.skipped_unchanged,
-            status.issues,
-            status.quarantined,
-            status.fixed
+            "done {} {} {} {}",
+            status.scanned, status.skipped_unchanged, status.issues, status.quarantined
         )
     );
     assert!(status.scanned > 0, "a populated store scans something");

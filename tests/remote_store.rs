@@ -23,14 +23,17 @@
 //!   or `store put-sa` is refused with a protocol-clean error and the
 //!   connection stays aligned;
 //! * fsck runs concurrently with a live put stream without tripping
-//!   on half-arrived state.
+//!   on half-arrived state;
+//! * an unknown artifact kind, and the retired `repair-fix` fsck mode,
+//!   get one `error` line each on a connection that stays usable.
 
 #![cfg(unix)]
 
 use hlpower::api::{self, Endpoint, JobReport, JobRequest, Server, Service};
+use hlpower::ArtifactKind::{Prepared, Sims};
 use hlpower::{
-    paper_constraint, ArtifactStore, Binder, FlowConfig, FsckOptions, Pipeline, RepairMode, SaMode,
-    SaTable, ServeOptions,
+    paper_constraint, ArtifactStore, Binder, FlowConfig, FsckOptions, Pipeline, SaMode, SaTable,
+    ServeOptions,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -118,27 +121,23 @@ fn remote_backend_round_trips_artifacts_through_the_daemon() {
     // and the body a valid artifact of its kind.
     let name = "feedc0defeedc0defeedc0defeedc0de";
     let body: &[u8] = &VALID_SIM;
-    assert!(!remote.raw_stat("sims", name));
-    remote.raw_put("sims", name, body);
-    assert!(remote.raw_stat("sims", name));
-    assert_eq!(remote.raw_get("sims", name).as_deref(), Some(body));
+    assert!(!remote.raw_stat(Sims, name));
+    remote.raw_put(Sims, name, body);
+    assert!(remote.raw_stat(Sims, name));
+    assert_eq!(remote.raw_get(Sims, name).as_deref(), Some(body));
     let local = ArtifactStore::open(&store_dir).unwrap();
     assert_eq!(
-        local.raw_get("sims", name).as_deref(),
-        remote.raw_get("sims", name).as_deref(),
+        local.raw_get(Sims, name).as_deref(),
+        remote.raw_get(Sims, name).as_deref(),
         "remote put lands in the daemon's local store"
     );
-    assert_eq!(remote.raw_list("sims").unwrap(), vec![name]);
+    assert_eq!(remote.raw_list(Sims).unwrap(), vec![name]);
 
     // A body that fails the static audit is refused server-side and
     // never lands: garbage under a fingerprint name reads back absent.
-    remote.raw_put(
-        "sims",
-        "deadbeefdeadbeefdeadbeefdeadbeef",
-        b"not a summary\n",
-    );
+    remote.raw_put(Sims, "deadbeefdeadbeefdeadbeefdeadbeef", b"not a summary\n");
     assert!(
-        !remote.raw_stat("sims", "deadbeefdeadbeefdeadbeefdeadbeef"),
+        !remote.raw_stat(Sims, "deadbeefdeadbeefdeadbeefdeadbeef"),
         "daemon must reject a semantically invalid store put"
     );
 
@@ -158,8 +157,7 @@ fn remote_backend_round_trips_artifacts_through_the_daemon() {
     assert_eq!(shard.lookup(cdfg::FuType::AddSub, 1, 1), Some(2.0));
 
     // Wire-invalid names are refused server-side, read as misses.
-    assert!(remote.raw_get("sims", "../escape").is_none());
-    assert!(!remote.raw_stat("nope-kind", "feedc0de"));
+    assert!(remote.raw_get(Sims, "../escape").is_none());
 
     daemon.stop();
 }
@@ -290,7 +288,7 @@ fn daemon_restart_mid_matrix_resumes_from_the_persisted_store() {
 
     // The phase-1 handle's pooled connection died with the old daemon;
     // its next operation re-dials transparently.
-    assert!(survivor.raw_stat("prepared", &resumed_prepared_name(&suite[0], &resumed)));
+    assert!(survivor.raw_stat(Prepared, &resumed_prepared_name(&suite[0], &resumed)));
     daemon.stop();
 }
 
@@ -341,6 +339,54 @@ fn oversize_request_lines_get_an_error_and_the_connection_survives() {
     line.clear();
     reader.read_line(&mut line).unwrap();
     assert_eq!(line.trim_end(), "# hlpower report v1");
+    daemon.stop();
+}
+
+#[test]
+fn unknown_kinds_and_the_retired_fix_mode_get_one_error_line_each() {
+    let store_dir = temp_path("kind-store");
+    let socket = temp_path("kind-sock");
+    let daemon = Daemon::start(&socket, &store_dir, ServeOptions::default());
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(&stream);
+    // One request and its body on the shared connection; the reply line
+    // comes back unescaped.
+    let mut exchange = |request: String, body: &[u8]| -> String {
+        (&stream).write_all(request.as_bytes()).unwrap();
+        (&stream).write_all(body).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        api::unescape(line.trim_end()).unwrap()
+    };
+
+    // Every verb that names a kind refuses an unknown one. A refused
+    // `put` or `audit` body is still consumed, so the connection stays
+    // aligned.
+    let fp = "feedc0defeedc0defeedc0defeedc0de";
+    let len = VALID_SIM.len();
+    for (request, body) in [
+        (format!("store get nope-kind {fp}\n"), &[][..]),
+        (format!("store stat nope-kind {fp}\n"), &[]),
+        ("store list nope-kind\n".to_string(), &[]),
+        (format!("store put nope-kind {fp} {len}\n"), &VALID_SIM),
+        (format!("store audit nope-kind {fp} {len}\n"), &VALID_SIM),
+    ] {
+        let reply = exchange(request.clone(), body);
+        assert_eq!(
+            reply, "error unknown artifact kind `nope-kind`",
+            "{request}"
+        );
+    }
+    // fsck has two modes; the one that rewrote slots is gone.
+    let reply = exchange("store fsck repair-fix fast\n".to_string(), &[]);
+    assert!(
+        reply.starts_with("error unknown fsck mode `repair-fix`"),
+        "{reply}"
+    );
+
+    // The connection still serves, and no refused body was stored.
+    assert_eq!(exchange(format!("store stat sims {fp}\n"), &[]), "absent");
+    assert_eq!(exchange("store list sims\n".to_string(), &[]), "names 0");
     daemon.stop();
 }
 
@@ -557,13 +603,13 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
     // Two valid sims over the wire (the daemon audits-on-put, so both land).
     let good = "feedc0defeedc0defeedc0defeedc0de";
     let victim = "0123456789abcdef0123456789abcdef";
-    remote.raw_put("sims", good, &VALID_SIM);
-    remote.raw_put("sims", victim, &VALID_SIM);
+    remote.raw_put(Sims, good, &VALID_SIM);
+    remote.raw_put(Sims, victim, &VALID_SIM);
 
     // Cold fsck: the daemon audits its own slots; this side only ever
     // sees counters and verdicts.
     let off = FsckOptions {
-        repair: RepairMode::Off,
+        repair: false,
         full: false,
     };
     let cold = remote.fsck_with(&off).unwrap();
@@ -582,15 +628,14 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
     std::fs::write(slot_file(&store_dir, "sims", victim), b"rotted bytes\n").unwrap();
     let repaired = remote
         .fsck_with(&FsckOptions {
-            repair: RepairMode::Quarantine,
+            repair: true,
             full: false,
         })
         .unwrap();
     assert_eq!(repaired.issues.len(), 1, "{repaired}");
-    assert_eq!(repaired.issues[0].kind, "sims");
+    assert_eq!(repaired.issues[0].kind, Sims);
     assert_eq!(repaired.issues[0].name, victim);
     assert!(repaired.issues[0].quarantined);
-    assert!(!repaired.issues[0].fixed);
     assert!(
         !repaired.issues[0].problem.is_empty(),
         "the defect description survives wire escaping"
@@ -598,11 +643,8 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
     assert_eq!(repaired.quarantined, 1);
     let bad = store_dir.join("sims").join(format!("{victim}.bin.bad"));
     assert!(bad.exists(), "quarantine lands in the daemon's store dir");
-    assert!(
-        !remote.raw_stat("sims", victim),
-        "bad slot no longer served"
-    );
-    assert!(remote.raw_stat("sims", good), "healthy slot untouched");
+    assert!(!remote.raw_stat(Sims, victim), "bad slot no longer served");
+    assert!(remote.raw_stat(Sims, good), "healthy slot untouched");
 
     // Raw wire transcript: a full fsck streams verdict lines only —
     // never a `data N` frame, i.e. no artifact body ever crosses.
@@ -620,7 +662,7 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
             "fsck replies are verdicts only, got `{line}`"
         );
         if line.starts_with("done ") {
-            assert_eq!(line.trim_end(), "done 1 0 0 0 0", "one clean slot left");
+            assert_eq!(line.trim_end(), "done 1 0 0 0", "one clean slot left");
             break;
         }
     }
@@ -634,7 +676,7 @@ fn remote_fsck_audits_daemon_side_and_streams_only_verdicts() {
     reader.read_line(&mut line).unwrap();
     assert_eq!(line.trim_end(), "ok audited");
     assert!(
-        !remote.raw_stat("sims", victim),
+        !remote.raw_stat(Sims, victim),
         "audit must not store the body"
     );
     let garbage = b"rotted bytes\n";
@@ -713,7 +755,7 @@ fn corrupt_put_sa_is_refused_without_poisoning_the_shard() {
     // And the stored shard still passes a daemon-side audit.
     let report = remote
         .fsck_with(&FsckOptions {
-            repair: RepairMode::Off,
+            repair: false,
             full: true,
         })
         .unwrap();
@@ -774,10 +816,10 @@ fn text_bodies_are_refused_protocol_clean_on_put_and_put_sa() {
     let reply = exchange(format!("store put-sa {}\n", body.len()), &body);
     assert_eq!(reply, "ok 1 0 0");
     let remote = ArtifactStore::connect(&daemon.endpoint).unwrap();
-    let sims = remote.raw_list("sims").unwrap();
+    let sims = remote.raw_list(Sims).unwrap();
     assert_eq!(sims, vec![fp.to_string()]);
     assert_eq!(
-        remote.raw_get("sims", fp).unwrap().to_vec(),
+        remote.raw_get(Sims, fp).unwrap().to_vec(),
         *VALID_SIM,
         "the slot holds the binary body"
     );
@@ -801,7 +843,7 @@ fn fsck_runs_concurrently_with_a_live_put_stream() {
             let remote = ArtifactStore::connect(&endpoint).unwrap();
             for i in 0..PUTS {
                 let name = format!("{:032x}", 0xabc0_de00_u64 + i);
-                remote.raw_put("sims", &name, &VALID_SIM);
+                remote.raw_put(Sims, &name, &VALID_SIM);
             }
         })
     };
@@ -810,7 +852,7 @@ fn fsck_runs_concurrently_with_a_live_put_stream() {
         for _ in 0..12 {
             let report = remote
                 .fsck_with(&FsckOptions {
-                    repair: RepairMode::Off,
+                    repair: false,
                     full: false,
                 })
                 .unwrap();
@@ -826,7 +868,7 @@ fn fsck_runs_concurrently_with_a_live_put_stream() {
     let remote = ArtifactStore::connect(&daemon.endpoint).unwrap();
     let full = remote
         .fsck_with(&FsckOptions {
-            repair: RepairMode::Off,
+            repair: false,
             full: true,
         })
         .unwrap();
@@ -834,7 +876,7 @@ fn fsck_runs_concurrently_with_a_live_put_stream() {
     assert!(full.issues.is_empty(), "{full}");
     let warm = remote
         .fsck_with(&FsckOptions {
-            repair: RepairMode::Off,
+            repair: false,
             full: false,
         })
         .unwrap();
