@@ -15,7 +15,9 @@
 
 use cdfg::{Cdfg, ResourceConstraint};
 use hlpower::api::{JobRequest, JobSource, KnobError, Service};
-use hlpower::{paper_constraint, ArtifactStore, Binder, FlowConfig, FlowResult, Pipeline};
+use hlpower::{
+    paper_constraint, ArtifactStore, Binder, FlowConfig, FlowResult, Pipeline, PipelineStats,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -339,7 +341,7 @@ impl Args {
                     eprintln!("  job failed: {e}");
                 }
             }
-            report_service_stats(&service);
+            report_stats(service.stats(), service.store());
             eprintln!(
                 "  shard {}: warmed {ran} of {} job(s) into `{}`; no report (merge \
                  shard stores with `hlp merge`, then rerun unsharded)",
@@ -373,22 +375,19 @@ impl Args {
                     .collect()
             })
             .collect();
-        report_service_stats(&service);
+        report_stats(service.stats(), service.store());
         (service, results)
     }
 }
 
-/// Prints a service's stage-execution and store hit/miss counters to
-/// stderr (the observable caching evidence; stdout stays reserved for
-/// deterministic report output).
-fn report_service_stats(service: &Service) {
-    let s = service.stats();
-    eprintln!("  stages: {}", s.stages);
-    if service.store().is_some() {
-        eprintln!("  store: {}", s.store);
-    }
-    if s.codec.total_ns() > 0 {
-        eprintln!("  codec: {}", s.codec);
+/// Prints stage executions, store hits/misses and the store handle's
+/// codec time to stderr (the observable caching evidence; stdout stays
+/// reserved for deterministic report output).
+fn report_stats(stats: PipelineStats, store: Option<&Arc<ArtifactStore>>) {
+    eprintln!("  stages: {}", stats.stages);
+    if let Some(store) = store {
+        eprintln!("  store: {}", stats.store);
+        eprintln!("  codec: {}", store.codec());
     }
 }
 
@@ -409,14 +408,7 @@ pub fn run_on(
         jobs
     );
     let results = pipeline.run_matrix(suite, binders, jobs);
-    let s = pipeline.stats();
-    eprintln!("  stages: {}", s.stages);
-    if pipeline.store().is_some() {
-        eprintln!("  store: {}", s.store);
-    }
-    if s.codec.total_ns() > 0 {
-        eprintln!("  codec: {}", s.codec);
-    }
+    report_stats(pipeline.stats(), pipeline.store());
     results
 }
 

@@ -494,15 +494,15 @@ pub enum KnobError {
 // ---- JobReport -------------------------------------------------------------
 
 /// What executing one [`JobRequest`] produced: the measured result plus
-/// the pipeline-stats delta attributable to this request (stage
-/// executions and store hits/misses; under concurrent execution the
-/// attribution is approximate — concurrent requests may observe each
-/// other's executions — but a fully warm request always reports zeros).
+/// the job's own ledger — the stages it executed and the store lookups
+/// it made. The counts are exact under concurrent execution: a job never
+/// counts a neighbour's work, and a job that found its prepared artifact
+/// computed (or being computed) by another job records nothing for it.
 #[derive(Clone, Debug)]
 pub struct JobReport {
     /// The measured flow result.
     pub result: FlowResult,
-    /// Stage/store accounting delta for this request.
+    /// The job's ledger.
     pub stats: PipelineStats,
 }
 
@@ -709,10 +709,6 @@ impl JobReport {
                     sim_hits: c[4],
                     sim_misses: c[5],
                 },
-                // Codec timings are a local diagnostic, not a wire field:
-                // they describe *this process's* parse cost, which is
-                // meaningless to relay.
-                codec: Default::default(),
             },
         })
     }

@@ -158,10 +158,7 @@ impl Service {
     /// job). The daemon's worker pool calls this directly.
     pub(crate) fn execute_unflushed(&self, req: &JobRequest) -> Result<JobReport, ServiceError> {
         let (cdfg, rc) = req.resolve()?;
-        let pipeline = self.pipeline(req);
-        let before = pipeline.stats();
-        let result = pipeline.run(&cdfg, &rc, req.binder);
-        let stats = pipeline.stats().since(&before);
+        let (result, stats) = self.pipeline(req).run(&cdfg, &rc, req.binder);
         Ok(JobReport { result, stats })
     }
 
@@ -210,20 +207,15 @@ impl Service {
         }
     }
 
-    /// Combined accounting: stage executions summed over every pipeline,
-    /// store hit/miss counters read once from the shared store handle.
+    /// Combined accounting: the stages of every finished ledger, summed
+    /// over every pipeline, and the store hit/miss counters read once
+    /// from the shared store handle.
     pub fn stats(&self) -> PipelineStats {
         let map = self.pipelines.lock().expect("service pipeline lock");
         let mut stages = StageCounts::default();
         // lint:allow(map-iter): commutative sum over counters; order is irrelevant.
         for p in map.values() {
-            let s = p.counters();
-            stages.schedules += s.schedules;
-            stages.register_bindings += s.register_bindings;
-            stages.fu_bindings += s.fu_bindings;
-            stages.elaborations += s.elaborations;
-            stages.mappings += s.mappings;
-            stages.simulations += s.simulations;
+            stages += p.stats().stages;
         }
         PipelineStats {
             stages,
@@ -232,7 +224,6 @@ impl Service {
                 .as_ref()
                 .map(|s| s.counters())
                 .unwrap_or_default(),
-            codec: self.store.as_ref().map(|s| s.codec()).unwrap_or_default(),
         }
     }
 }
@@ -241,6 +232,7 @@ impl Service {
 mod tests {
     use super::*;
     use crate::flow::Binder;
+    use crate::store::StoreCounts;
 
     fn fast(name: &str) -> JobRequest {
         JobRequest::suite(name).width(4).sa_width(4).cycles(100)
@@ -287,6 +279,63 @@ mod tests {
             );
             assert_eq!(s.result.sa_queries, p.result.sa_queries);
         }
+    }
+
+    #[test]
+    fn concurrent_reports_count_exactly_their_own_work() {
+        // 7 benchmarks x 2 binders, cold, on 4 workers: the binders of a
+        // benchmark share one prepared artifact, and each job binds,
+        // maps and simulates its own binding.
+        let store = Arc::new(crate::store::testutil::temp_store("service-ledgers"));
+        let service = Service::new().with_store(store);
+        let reqs: Vec<JobRequest> = cdfg::PROFILES
+            .iter()
+            .flat_map(|p| {
+                [Binder::Lopass, Binder::HlPower { alpha: 0.5 }].map(|b| fast(p.name).binder(b))
+            })
+            .collect();
+        let mut stages = StageCounts::default();
+        for report in service.execute_all(&reqs, 4) {
+            let ledger = report.unwrap().stats;
+            // Only the job that computed its benchmark's prepared
+            // artifact schedules it and looks it up.
+            let prepared = ledger.stages.schedules;
+            let job = StageCounts {
+                schedules: prepared,
+                register_bindings: prepared,
+                fu_bindings: 1,
+                elaborations: 1,
+                mappings: 1,
+                simulations: 1,
+            };
+            let lookups = StoreCounts {
+                prepared_misses: prepared,
+                netlist_misses: 1,
+                sim_misses: 1,
+                ..StoreCounts::default()
+            };
+            assert_eq!(
+                ledger,
+                PipelineStats {
+                    stages: job,
+                    store: lookups
+                }
+            );
+            stages += ledger.stages;
+        }
+        let totals = service.stats();
+        assert_eq!(stages, totals.stages, "the reports sum to the totals");
+        assert_eq!(totals.stages.schedules, 7);
+        let lookups = StoreCounts {
+            prepared_misses: 7,
+            netlist_misses: 14,
+            sim_misses: 14,
+            ..StoreCounts::default()
+        };
+        assert_eq!(
+            totals.store, lookups,
+            "the reports' lookups sum to the store's"
+        );
     }
 
     #[test]

@@ -417,8 +417,8 @@ pub fn num_nets(luts: usize, mapped: &netlist::Netlist) -> usize {
 }
 
 /// Assembles a [`FlowResult`] from the measured backend pieces. Shared
-/// by [`measure`] and the store-backed pipeline path so cached and
-/// freshly computed artifacts produce bit-identical result rows.
+/// by [`measure`] and [`crate::pipeline::Pipeline::measure`] so cached
+/// and freshly computed artifacts produce bit-identical result rows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_result(
     cdfg: &Cdfg,

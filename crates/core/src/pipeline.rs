@@ -34,9 +34,13 @@
 //! [`crate::api::Service::execute_all`] runs on too. Job order, result
 //! order, and every numeric output are independent of the worker count
 //! (see `fan_out` for why) *and* of the store state, since cached
-//! artifacts reload bit-exactly. [`PipelineStats`] exposes how often each
-//! stage actually ran and the store's hit/miss counters, which the tests
-//! use to prove the sharing and caching claims.
+//! artifacts reload bit-exactly. Each job fills one ledger
+//! ([`PipelineStats`]) with the stages it executed and the store lookups
+//! it made, so concurrent jobs never count each other's work; a job that
+//! finds its prepared artifact computed, or being computed, by another
+//! records nothing for it. [`Pipeline::run`] returns the ledger beside
+//! the result, and [`Pipeline::stats`] sums the finished ledgers' stages
+//! — the counts the tests use to prove the sharing and caching claims.
 //!
 //! # Examples
 //!
@@ -53,7 +57,7 @@
 //! let results = pipeline.run_matrix(&suite, &binders, 2);
 //! assert_eq!(results.len(), 1);
 //! assert_eq!(results[0].len(), 2);
-//! let counts = pipeline.counters();
+//! let counts = pipeline.stats().stages;
 //! assert_eq!(counts.schedules, 1, "schedule computed once, not per binder");
 //! ```
 
@@ -62,11 +66,12 @@ use crate::flow::{self, BindOutcome, Binder, FlowConfig, FlowResult};
 use crate::mux::mux_report;
 use crate::regbind::RegisterBinding;
 use crate::satable::{SaMode, SaTable, SharedSaTable};
-use crate::store::{ArtifactStore, CodecNanos, MappedArtifact, StoreCounts};
+use crate::store::{ArtifactKind, ArtifactStore, MappedArtifact, StoreCounts};
 use cdfg::{Cdfg, ResourceConstraint, Schedule};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The shared front-end artifacts of one benchmark: everything upstream
@@ -110,20 +115,14 @@ pub struct StageCounts {
     pub simulations: u64,
 }
 
-impl StageCounts {
-    /// The executions that happened after `before` was snapshotted
-    /// (saturating, so racing counters never underflow).
-    pub fn since(&self, before: &StageCounts) -> StageCounts {
-        StageCounts {
-            schedules: self.schedules.saturating_sub(before.schedules),
-            register_bindings: self
-                .register_bindings
-                .saturating_sub(before.register_bindings),
-            fu_bindings: self.fu_bindings.saturating_sub(before.fu_bindings),
-            elaborations: self.elaborations.saturating_sub(before.elaborations),
-            mappings: self.mappings.saturating_sub(before.mappings),
-            simulations: self.simulations.saturating_sub(before.simulations),
-        }
+impl AddAssign for StageCounts {
+    fn add_assign(&mut self, other: StageCounts) {
+        self.schedules += other.schedules;
+        self.register_bindings += other.register_bindings;
+        self.fu_bindings += other.fu_bindings;
+        self.elaborations += other.elaborations;
+        self.mappings += other.mappings;
+        self.simulations += other.simulations;
     }
 }
 
@@ -144,51 +143,18 @@ impl fmt::Display for StageCounts {
     }
 }
 
-/// One pipeline's combined accounting: stage executions plus artifact
-/// store hit/miss counters (all zeros when no store is attached).
+/// A ledger of work: the stages executed and the store lookups made
+/// (store counts stay zero when no store is attached). One job's ledger
+/// is its [`crate::api::JobReport`] stats; [`Pipeline::stats`] and
+/// [`crate::api::Service::stats`] are totals. Codec time is no part of
+/// it: that is one process's parse cost, kept per store handle
+/// ([`ArtifactStore::codec`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Stage execution counts.
     pub stages: StageCounts,
     /// Artifact-store hit/miss counters.
     pub store: StoreCounts,
-    /// Wall-clock nanoseconds spent encoding/decoding store artifacts.
-    pub codec: CodecNanos,
-}
-
-impl PipelineStats {
-    /// The activity after `before` was snapshotted — how the service API
-    /// attributes stage executions and store traffic to one request.
-    pub fn since(&self, before: &PipelineStats) -> PipelineStats {
-        PipelineStats {
-            stages: self.stages.since(&before.stages),
-            store: self.store.since(&before.store),
-            codec: self.codec.since(&before.codec),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct StageCounters {
-    schedules: AtomicU64,
-    register_bindings: AtomicU64,
-    fu_bindings: AtomicU64,
-    elaborations: AtomicU64,
-    mappings: AtomicU64,
-    simulations: AtomicU64,
-}
-
-impl StageCounters {
-    fn snapshot(&self) -> StageCounts {
-        StageCounts {
-            schedules: self.schedules.load(Ordering::Relaxed),
-            register_bindings: self.register_bindings.load(Ordering::Relaxed),
-            fu_bindings: self.fu_bindings.load(Ordering::Relaxed),
-            elaborations: self.elaborations.load(Ordering::Relaxed),
-            mappings: self.mappings.load(Ordering::Relaxed),
-            simulations: self.simulations.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The staged experiment flow with shared artifacts, an optional
@@ -197,7 +163,8 @@ impl StageCounters {
 #[derive(Debug)]
 pub struct Pipeline {
     cfg: FlowConfig,
-    counters: StageCounters,
+    /// The stages of every finished ledger.
+    stages: Mutex<StageCounts>,
     prepared: Mutex<HashMap<Fingerprint, Arc<OnceLock<Arc<Prepared>>>>>,
     sa_glitch: SharedSaTable,
     sa_zero_delay: SharedSaTable,
@@ -249,12 +216,12 @@ impl Pipeline {
         // Entries loaded from the store's shard are already on disk:
         // they never need flushing back.
         let sa_flushed = [
-            AtomicUsize::new(sa_glitch.snapshot().len()),
-            AtomicUsize::new(sa_zero_delay.snapshot().len()),
+            AtomicUsize::new(sa_glitch.len()),
+            AtomicUsize::new(sa_zero_delay.len()),
         ];
         Pipeline {
             cfg,
-            counters: StageCounters::default(),
+            stages: Mutex::default(),
             prepared: Mutex::new(HashMap::new()),
             sa_glitch,
             sa_zero_delay,
@@ -273,22 +240,40 @@ impl Pipeline {
         self.store.as_ref()
     }
 
-    /// Stage-execution counts so far.
-    pub fn counters(&self) -> StageCounts {
-        self.counters.snapshot()
-    }
-
-    /// Combined stage and store accounting.
+    /// The stages of every finished ledger, plus the attached store
+    /// handle's hit/miss counters.
     pub fn stats(&self) -> PipelineStats {
         PipelineStats {
-            stages: self.counters.snapshot(),
+            stages: *self.stages.lock().expect("pipeline stages lock"),
             store: self
                 .store
                 .as_ref()
                 .map(|s| s.counters())
                 .unwrap_or_default(),
-            codec: self.store.as_ref().map(|s| s.codec()).unwrap_or_default(),
         }
+    }
+
+    /// Runs `f` on a fresh ledger and adds the ledger's stages to the
+    /// totals.
+    fn counted<T>(&self, f: impl FnOnce(&mut PipelineStats) -> T) -> T {
+        let mut ledger = PipelineStats::default();
+        let value = f(&mut ledger);
+        *self.stages.lock().expect("pipeline stages lock") += ledger.stages;
+        value
+    }
+
+    /// Looks an artifact of `kind` up in the attached store with `load`
+    /// and counts the lookup in `ledger`. Without a store every lookup
+    /// misses, uncounted.
+    fn lookup<T>(
+        &self,
+        ledger: &mut PipelineStats,
+        kind: ArtifactKind,
+        load: impl FnOnce(&ArtifactStore) -> Option<T>,
+    ) -> Option<T> {
+        let found = load(self.store.as_deref()?);
+        ledger.store.count(kind, found.is_some());
+        found
     }
 
     /// Merges the in-memory SA caches back into the store's on-disk
@@ -302,13 +287,14 @@ impl Pipeline {
             .into_iter()
             .zip(&self.sa_flushed)
         {
-            let snapshot = cache.snapshot();
             // Insert-only cache: an unchanged entry count since the last
             // flush means the shard on disk already covers it. (Racing
             // flushes may both merge — merge-on-absorb makes that safe.)
-            if snapshot.is_empty() || snapshot.len() == flushed.load(Ordering::Relaxed) {
+            let len = cache.len();
+            if len == 0 || len == flushed.load(Ordering::Relaxed) {
                 continue;
             }
+            let snapshot = cache.snapshot();
             flushed.store(snapshot.len(), Ordering::Relaxed);
             let stats = store.merge_sa_table(&snapshot);
             if stats.conflicting > 0 {
@@ -362,6 +348,15 @@ impl Pipeline {
     /// store — while concurrent callers block on that computation rather
     /// than duplicating it; every later caller gets the cached value.
     pub fn prepare(&self, cdfg: &Cdfg, rc: &ResourceConstraint) -> Arc<Prepared> {
+        self.counted(|ledger| self.prepare_with(ledger, cdfg, rc))
+    }
+
+    fn prepare_with(
+        &self,
+        ledger: &mut PipelineStats,
+        cdfg: &Cdfg,
+        rc: &ResourceConstraint,
+    ) -> Arc<Prepared> {
         let fp = fingerprint::prepared_fingerprint(cdfg, rc, &self.cfg);
         let slot = {
             let mut map = self.prepared.lock().expect("pipeline prepared lock");
@@ -372,7 +367,7 @@ impl Pipeline {
             // CDFG: a hand-edited, mis-copied, or fingerprint-colliding
             // file that parses but does not fit the graph must read as a
             // miss (and be recomputed), not panic downstream in bind.
-            let from_store = self.store.as_ref().and_then(|s| {
+            let from_store = self.lookup(ledger, ArtifactKind::Prepared, |s| {
                 s.load_prepared(fp, |sched, rb| {
                     // Length checks first: the validators index by op/var
                     // id and would themselves panic on truncated vectors.
@@ -396,10 +391,8 @@ impl Pipeline {
             let (sched, rb) = match from_store {
                 Some(loaded) => loaded,
                 None => {
-                    self.counters.schedules.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .register_bindings
-                        .fetch_add(1, Ordering::Relaxed);
+                    ledger.stages.schedules += 1;
+                    ledger.stages.register_bindings += 1;
                     let (sched, rb) = flow::prepare(cdfg, rc, &self.cfg);
                     if let Some(store) = &self.store {
                         store.save_prepared(fp, &sched, &rb);
@@ -421,7 +414,16 @@ impl Pipeline {
     /// Runs one binder against prepared artifacts, drawing SA estimates
     /// from the shared cross-job cache.
     pub fn bind(&self, prep: &Prepared, binder: Binder) -> BindOutcome {
-        self.counters.fu_bindings.fetch_add(1, Ordering::Relaxed);
+        self.counted(|ledger| self.bind_with(ledger, prep, binder))
+    }
+
+    fn bind_with(
+        &self,
+        ledger: &mut PipelineStats,
+        prep: &Prepared,
+        binder: Binder,
+    ) -> BindOutcome {
+        ledger.stages.fu_bindings += 1;
         let mut source = self.sa_cache(binder).handle();
         flow::bind(
             &prep.cdfg,
@@ -438,42 +440,42 @@ impl Pipeline {
     /// mapped netlist and the simulation summary are content-addressed
     /// artifacts: a warm run re-executes **neither** stage, and a run
     /// with a new vector budget reuses the cached netlist and re-runs
-    /// only the simulation.
+    /// only the simulation. Without a store every lookup misses, so
+    /// every stage runs.
     pub fn measure(&self, prep: &Prepared, outcome: &BindOutcome, binder: Binder) -> FlowResult {
-        let Some(store) = &self.store else {
-            self.counters.elaborations.fetch_add(1, Ordering::Relaxed);
-            self.counters.mappings.fetch_add(1, Ordering::Relaxed);
-            self.counters.simulations.fetch_add(1, Ordering::Relaxed);
-            return flow::measure(
-                &prep.cdfg,
-                &prep.sched,
-                &prep.rb,
-                outcome,
-                &prep.rc,
-                binder,
-                &self.cfg,
-            );
-        };
+        self.counted(|ledger| self.measure_with(ledger, prep, outcome, binder))
+    }
+
+    fn measure_with(
+        &self,
+        ledger: &mut PipelineStats,
+        prep: &Prepared,
+        outcome: &BindOutcome,
+        binder: Binder,
+    ) -> FlowResult {
         let mux = mux_report(&prep.cdfg, &prep.rb, &outcome.fb);
         let net_fp = fingerprint::netlist_fingerprint(prep.fingerprint, &outcome.fb, &self.cfg);
         // `dp` is needed only when something downstream actually runs:
         // it carries the control program driving the simulation.
         let mut dp = None;
-        let mut backend = match store.load_mapped(net_fp) {
+        let cached = self.lookup(ledger, ArtifactKind::Netlists, |s| s.load_mapped(net_fp));
+        let mut backend = match cached {
             Some(artifact) => artifact,
             None => {
-                self.counters.elaborations.fetch_add(1, Ordering::Relaxed);
-                self.counters.mappings.fetch_add(1, Ordering::Relaxed);
+                ledger.stages.elaborations += 1;
+                ledger.stages.mappings += 1;
                 let (d, mapped) =
                     flow::elaborate_map(&prep.cdfg, &prep.sched, &prep.rb, &outcome.fb, &self.cfg);
                 let artifact = MappedArtifact::from_mapped(mapped, d.registers);
-                store.save_mapped(net_fp, &artifact);
+                if let Some(store) = &self.store {
+                    store.save_mapped(net_fp, &artifact);
+                }
                 dp = Some(d);
                 artifact
             }
         };
         let sim_fp = fingerprint::sim_fingerprint(net_fp, &self.cfg);
-        let stats = match store.load_sim(sim_fp) {
+        let stats = match self.lookup(ledger, ArtifactKind::Sims, |s| s.load_sim(sim_fp)) {
             Some(stats) => stats,
             None => {
                 let dp = dp.get_or_insert_with(|| {
@@ -481,7 +483,7 @@ impl Pipeline {
                     // seed/lane budget): re-elaborate for the control
                     // program only — the expensive mapping stays skipped
                     // (the cached mapped netlist is what gets simulated).
-                    self.counters.elaborations.fetch_add(1, Ordering::Relaxed);
+                    ledger.stages.elaborations += 1;
                     crate::datapath::elaborate(
                         &prep.cdfg,
                         &prep.sched,
@@ -507,17 +509,21 @@ impl Pipeline {
                          `{}`; remapping",
                         prep.cdfg.name()
                     );
-                    self.counters.mappings.fetch_add(1, Ordering::Relaxed);
+                    ledger.stages.mappings += 1;
                     let mapped = mapper::map(
                         &dp.netlist,
                         &mapper::MapConfig::new(self.cfg.k, self.cfg.map_objective),
                     );
                     backend = MappedArtifact::from_mapped(mapped, dp.registers);
-                    store.save_mapped(net_fp, &backend);
+                    if let Some(store) = &self.store {
+                        store.save_mapped(net_fp, &backend);
+                    }
                 }
-                self.counters.simulations.fetch_add(1, Ordering::Relaxed);
+                ledger.stages.simulations += 1;
                 let stats = flow::simulate(dp, &backend.netlist, &self.cfg);
-                store.save_sim(sim_fp, &stats);
+                if let Some(store) = &self.store {
+                    store.save_sim(sim_fp, &stats);
+                }
                 stats
             }
         };
@@ -534,11 +540,20 @@ impl Pipeline {
         )
     }
 
-    /// The full staged flow for one benchmark × binder job.
-    pub fn run(&self, cdfg: &Cdfg, rc: &ResourceConstraint, binder: Binder) -> FlowResult {
-        let prep = self.prepare(cdfg, rc);
-        let outcome = self.bind(&prep, binder);
-        self.measure(&prep, &outcome, binder)
+    /// The full staged flow for one benchmark × binder job, returned
+    /// with the job's ledger: the stages it executed and the store
+    /// lookups it made.
+    pub fn run(
+        &self,
+        cdfg: &Cdfg,
+        rc: &ResourceConstraint,
+        binder: Binder,
+    ) -> (FlowResult, PipelineStats) {
+        self.counted(|ledger| {
+            let prep = self.prepare_with(ledger, cdfg, rc);
+            let outcome = self.bind_with(ledger, &prep, binder);
+            (self.measure_with(ledger, &prep, &outcome, binder), *ledger)
+        })
     }
 
     /// Fans the `suite × binders` job matrix out over up to `jobs` worker
@@ -555,7 +570,7 @@ impl Pipeline {
         let width = binders.len();
         let mut results = fan_out(suite.len() * width, jobs, |i| {
             let (cdfg, rc) = &suite[i / width];
-            self.run(cdfg, rc, binders[i % width])
+            self.run(cdfg, rc, binders[i % width]).0
         })
         .into_iter();
         self.flush_store();
@@ -642,7 +657,7 @@ mod tests {
         ];
         let results = pipeline.run_matrix(&suite, &binders, 4);
         assert_eq!(results.len(), 2);
-        let counts = pipeline.counters();
+        let counts = pipeline.stats().stages;
         assert_eq!(counts.schedules, 2, "one schedule per benchmark");
         assert_eq!(
             counts.register_bindings, 2,
@@ -697,9 +712,9 @@ mod tests {
         let g = cdfg::generate(p, p.seed);
         let pipeline = Pipeline::new(FlowConfig::fast());
         let binder = Binder::HlPower { alpha: 0.5 };
-        let tight = pipeline.run(&g, &ResourceConstraint::new(2, 2), binder);
-        let loose = pipeline.run(&g, &ResourceConstraint::new(4, 4), binder);
-        let counts = pipeline.counters();
+        let (tight, _) = pipeline.run(&g, &ResourceConstraint::new(2, 2), binder);
+        let (loose, _) = pipeline.run(&g, &ResourceConstraint::new(4, 4), binder);
+        let counts = pipeline.stats().stages;
         assert_eq!(
             counts.schedules, 2,
             "distinct constraints must not share a schedule"
@@ -725,7 +740,7 @@ mod tests {
         let pipeline = Pipeline::new(FlowConfig::fast());
         let p1 = pipeline.prepare(&g1, &rc);
         let p2 = pipeline.prepare(&g2, &rc);
-        assert_eq!(pipeline.counters().schedules, 2);
+        assert_eq!(pipeline.stats().stages.schedules, 2);
         assert_ne!(p1.fingerprint, p2.fingerprint);
         assert_eq!(p1.cdfg.num_ops(), g1.num_ops());
         assert_eq!(p2.cdfg.num_ops(), g2.num_ops());
@@ -827,7 +842,7 @@ mod tests {
         let suite = small_suite(&["wang"]);
         let binder = Binder::HlPower { alpha: 0.5 };
         let cfg = FlowConfig::fast();
-        let via_pipeline = Pipeline::new(cfg.clone()).run(&suite[0].0, &suite[0].1, binder);
+        let (via_pipeline, _) = Pipeline::new(cfg.clone()).run(&suite[0].0, &suite[0].1, binder);
         let direct = flow::run_benchmark(&suite[0].0, &suite[0].1, binder, &cfg);
         assert_eq!(via_pipeline.luts, direct.luts);
         assert_eq!(via_pipeline.sa_queries, direct.sa_queries);

@@ -314,6 +314,18 @@ impl StoreCounts {
         self.prepared_misses + self.netlist_misses + self.sim_misses
     }
 
+    /// Counts one lookup of `kind` as a hit or a miss (SA shards have no
+    /// hit/miss accounting).
+    pub(crate) fn count(&mut self, kind: ArtifactKind, hit: bool) {
+        let (hits, misses) = match kind {
+            ArtifactKind::Prepared => (&mut self.prepared_hits, &mut self.prepared_misses),
+            ArtifactKind::Netlists => (&mut self.netlist_hits, &mut self.netlist_misses),
+            ArtifactKind::Sims => (&mut self.sim_hits, &mut self.sim_misses),
+            ArtifactKind::Satables => return,
+        };
+        *if hit { hits } else { misses } += 1;
+    }
+
     /// The lookups that happened after `before` was snapshotted
     /// (saturating, so racing counters never underflow).
     pub fn since(&self, before: &StoreCounts) -> StoreCounts {
@@ -810,18 +822,6 @@ impl CodecNanos {
                 .saturating_sub(before.satable_encode_ns),
         }
     }
-
-    /// Total codec time (decode + encode, all kinds).
-    pub fn total_ns(&self) -> u64 {
-        self.prepared_decode_ns
-            + self.prepared_encode_ns
-            + self.netlist_decode_ns
-            + self.netlist_encode_ns
-            + self.sim_decode_ns
-            + self.sim_encode_ns
-            + self.satable_decode_ns
-            + self.satable_encode_ns
-    }
 }
 
 /// Renders nanoseconds at a human scale (`870ns`, `12.3us`, `4.6ms`).
@@ -894,8 +894,9 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
 
     /// Merges a table into the shard for its `(mode, width, k)` —
     /// existing entries win, conflicts are counted — and reports what
-    /// the merge did.
-    fn merge_sa(&self, table: &SaTable) -> AbsorbStats;
+    /// the merge did. The shard bytes the merge writes or sends come
+    /// from `encode`, which charges the store handle's codec time.
+    fn merge_sa(&self, table: &SaTable, encode: &dyn Fn(&SaTable) -> Vec<u8>) -> AbsorbStats;
 
     /// The store's root directory, when the bytes live on this host
     /// (local maintenance — `gc`, `usage` — needs it).
@@ -1284,7 +1285,7 @@ impl StoreBackend for LocalStore {
         Ok(names)
     }
 
-    fn merge_sa(&self, table: &SaTable) -> AbsorbStats {
+    fn merge_sa(&self, table: &SaTable, encode: &dyn Fn(&SaTable) -> Vec<u8>) -> AbsorbStats {
         let mode = table.mode();
         let width = table.width();
         let k = table.k();
@@ -1310,7 +1311,7 @@ impl StoreBackend for LocalStore {
         let stats = merged
             .absorb(table)
             .expect("shard compatible by construction");
-        self.put(ArtifactKind::Satables, &name, &merged.snapshot().to_bin());
+        self.put(ArtifactKind::Satables, &name, &encode(&merged.snapshot()));
         drop(lock);
         stats
     }
@@ -1457,14 +1458,13 @@ impl RemoteStore {
         })
     }
 
-    fn try_merge_sa(&self, table: &SaTable) -> io::Result<AbsorbStats> {
+    fn try_merge_sa(&self, body: &[u8]) -> io::Result<AbsorbStats> {
         // The daemon decodes the body, audits it, and merges it into its
         // own shard under its shard lock.
-        let body = table.to_bin();
         self.op(&mut |conn| {
             let w = conn.get_mut();
             writeln!(w, "store put-sa {}", body.len())?;
-            w.write_all(&body)?;
+            w.write_all(body)?;
             w.flush()?;
             let line = Self::reply_line(conn)?;
             let rest = line
@@ -1573,8 +1573,8 @@ impl StoreBackend for RemoteStore {
         self.try_list(kind)
     }
 
-    fn merge_sa(&self, table: &SaTable) -> AbsorbStats {
-        match self.try_merge_sa(table) {
+    fn merge_sa(&self, table: &SaTable, encode: &dyn Fn(&SaTable) -> Vec<u8>) -> AbsorbStats {
+        match self.try_merge_sa(&encode(table)) {
             Ok(stats) => stats,
             Err(e) => {
                 self.warn("SA shard merge", &e);
@@ -1882,7 +1882,9 @@ impl ArtifactStore {
     /// Returns what the merge did, including the conflict count the
     /// caller should warn about.
     pub fn merge_sa_table(&self, table: &SaTable) -> AbsorbStats {
-        self.backend.merge_sa(table)
+        let encode_ns = &self.counters.encode_ns[ArtifactKind::Satables.index()];
+        self.backend
+            .merge_sa(table, &|shard| Self::timed(encode_ns, || shard.to_bin()))
     }
 
     // ---- store-level operations --------------------------------------------
@@ -2441,6 +2443,15 @@ mod tests {
         assert_eq!(back.per_node.len(), 12);
         let c = store.counters();
         assert_eq!((c.sim_hits, c.sim_misses), (1, 1));
+    }
+
+    #[test]
+    fn sa_shard_merge_charges_its_encode_to_the_handle() {
+        let store = temp_store("sa-codec");
+        let mut t = SaTable::new(4, 4);
+        t.insert(FuType::AddSub, 1, 1, 2.0);
+        store.merge_sa_table(&t);
+        assert!(store.codec().satable_encode_ns > 0, "{}", store.codec());
     }
 
     #[test]

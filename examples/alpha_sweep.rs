@@ -52,7 +52,7 @@ fn main() {
             r.power.avg_toggle_rate_mhz
         );
     }
-    let c = pipeline.counters();
+    let c = pipeline.stats().stages;
     println!(
         "\nshared artifacts: {} schedule / {} register binding for {} binder jobs",
         c.schedules, c.register_bindings, c.fu_bindings

@@ -324,14 +324,14 @@ fn render_report(req: &JobRequest, rep: &JobReport) -> String {
 }
 
 /// Prints the per-request stage/store accounting to stderr — the
-/// observable evidence that a warm daemon or store executed nothing.
-fn report_stats(rep: &JobReport) {
+/// observable evidence that a warm daemon or store executed nothing —
+/// and the codec time of `store`, the local store handle if any (a
+/// daemon keeps its own parse cost).
+fn report_stats(rep: &JobReport, store: Option<&Arc<ArtifactStore>>) {
     eprintln!("stages: {}", rep.stats.stages);
     eprintln!("store: {}", rep.stats.store);
-    // Only meaningful locally: a remote report carries no codec timings
-    // (they describe the daemon's parse cost, which it keeps).
-    if rep.stats.codec.total_ns() > 0 {
-        eprintln!("codec: {}", rep.stats.codec);
+    if let Some(store) = store {
+        eprintln!("codec: {}", store.codec());
     }
 }
 
@@ -415,7 +415,7 @@ fn run_job(o: &Options, source: JobSource) {
         let endpoint = Endpoint::parse(addr);
         let rep = api::request(&endpoint, &req).unwrap_or_else(|e| die(e));
         print!("{}", render_report(&req, &rep));
-        report_stats(&rep);
+        report_stats(&rep, None);
         return;
     }
     let service = match &o.store {
@@ -430,7 +430,7 @@ fn run_job(o: &Options, source: JobSource) {
         store_table(o, &pipeline, binder);
     }
     print!("{}", render_report(&req, &rep));
-    report_stats(&rep);
+    report_stats(&rep, service.store());
     if o.vhdl.is_some() || o.blif.is_some() || o.dot.is_some() {
         write_exports(o, &req, &pipeline);
     }
@@ -670,7 +670,7 @@ fn batch(args: &[String]) -> ! {
         match reply {
             Ok(rep) => {
                 print!("{}", render_report(req, rep));
-                report_stats(rep);
+                report_stats(rep, None);
             }
             Err(e) => {
                 eprintln!("hlp batch: job `{}` failed: {e}", req.to_line());

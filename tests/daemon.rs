@@ -25,7 +25,7 @@
 #![cfg(unix)]
 
 use hlpower::api::{self, Endpoint, JobReport, JobRequest, Server, Service};
-use hlpower::{ArtifactStore, ServeOptions};
+use hlpower::{ArtifactStore, ServeOptions, StageCounts, StoreCounts};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -96,6 +96,7 @@ fn batch_replies_match_sequential_requests_and_warm_batches_skip_stages() {
         fast_request("wang"),
         fast_request("pr"),
         fast_request("wang").width(5),
+        fast_request("chem"),
     ];
 
     // Sequential round-trips first (cold: these populate the store).
@@ -120,16 +121,24 @@ fn batch_replies_match_sequential_requests_and_warm_batches_skip_stages() {
     }
 
     // The store is warm now: a second batch must execute zero expensive
-    // stages — every report is assembled from store hits.
+    // stages — every report is assembled from store hits. Each report is
+    // its own job's ledger, exact although the jobs run concurrently:
+    // one FU binding, one netlist hit and one simulation hit (the
+    // prepared artifacts are already in the daemon's pipelines).
     let warm = api::request_batch(&daemon.endpoint, &reqs).unwrap();
     for rep in &warm {
-        let stages = format!("{}", rep.as_ref().unwrap().stats.stages);
-        assert!(
-            stages.contains("0 schedules")
-                && stages.contains("0 mappings")
-                && stages.contains("0 simulations"),
-            "warm batch must be all store hits, got `{stages}`"
-        );
+        let stats = rep.as_ref().unwrap().stats;
+        let fu_binding = StageCounts {
+            fu_bindings: 1,
+            ..StageCounts::default()
+        };
+        let hits = StoreCounts {
+            netlist_hits: 1,
+            sim_hits: 1,
+            ..StoreCounts::default()
+        };
+        assert_eq!(stats.stages, fu_binding, "warm batch must only re-bind");
+        assert_eq!(stats.store, hits, "warm batch must be all store hits");
     }
 
     // Failures ride inside the frame without disturbing their

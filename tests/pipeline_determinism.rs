@@ -125,7 +125,7 @@ fn front_end_artifacts_computed_once_per_benchmark() {
     ];
     let pipeline = Pipeline::new(FlowConfig::fast());
     pipeline.run_matrix(&suite, &binders, 4);
-    let c = pipeline.counters();
+    let c = pipeline.stats().stages;
     assert_eq!(c.schedules, 2, "one schedule per benchmark, not per binder");
     assert_eq!(c.register_bindings, 2, "one register binding per benchmark");
     assert_eq!(c.fu_bindings, 10, "one FU binding per benchmark x binder");

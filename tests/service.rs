@@ -48,7 +48,8 @@ fn service_request_matches_the_pipeline_it_wraps() {
     let p = cdfg::profile("wang").unwrap();
     let g = cdfg::generate(p, p.seed);
     let rc = hlpower::paper_constraint("wang").unwrap();
-    let direct = Pipeline::new(FlowConfig::fast()).run(&g, &rc, Binder::HlPower { alpha: 0.5 });
+    let (direct, _) =
+        Pipeline::new(FlowConfig::fast()).run(&g, &rc, Binder::HlPower { alpha: 0.5 });
     let r = &report.result;
     assert_eq!(r.name, direct.name);
     assert_eq!(r.binder, direct.binder);
