@@ -300,8 +300,9 @@ impl<S: SaSource + ?Sized> SaSource for CountingSa<'_, S> {
 /// Runs one binder on an already-prepared benchmark.
 ///
 /// `table` may be a private [`SaTable`] or a
-/// [`crate::satable::SharedSaRef`] onto the pipeline's cross-job cache;
-/// the binding result is identical either way.
+/// [`crate::satable::SharedSaRef`] handle onto a shared one, such as the
+/// pipeline's cross-job cache; the binding result is identical either
+/// way.
 pub fn bind<S: SaSource + ?Sized>(
     cdfg: &Cdfg,
     sched: &Schedule,

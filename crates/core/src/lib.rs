@@ -12,9 +12,10 @@
 //! The crate's central algorithm is [`bind_hlpower`] (paper Algorithm 1),
 //! whose bipartite edge weights (Eq. 4) combine a glitch-aware
 //! switching-activity estimate of the candidate partial datapath
-//! ([`satable::SaTable`]) with explicit multiplexer balancing. The
-//! interconnect-minimizing LOPASS baseline the paper compares against is
-//! in [`lopass`].
+//! ([`satable::SaTable`], one thread-safe memo that a single bind or
+//! every concurrent job of a [`Pipeline`] draws from) with explicit
+//! multiplexer balancing. The interconnect-minimizing LOPASS baseline the
+//! paper compares against is in [`lopass`].
 //!
 //! # Examples
 //!
@@ -73,7 +74,6 @@ pub use power::{PowerModel, PowerReport};
 pub use regbind::{bind_registers, bind_registers_left_edge, RegBindConfig, RegisterBinding};
 pub use satable::{
     compute_sa, partial_datapath, simulate_sa, AbsorbStats, SaMode, SaSource, SaTable,
-    SharedSaTable,
 };
 pub use store::{
     audit_artifact_auto, audit_artifact_bytes, checked_netlist, fix_artifact_auto, ArtifactBytes,

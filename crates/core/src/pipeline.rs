@@ -12,9 +12,9 @@
 //!   binding), computed **exactly once** per benchmark and shared by
 //!   every binder and α value (the paper shares schedules and register
 //!   bindings between LOPASS and HLPower);
-//! * [`crate::satable::SharedSaTable`] — the paper's precalculated SA
-//!   hash table, here thread-safe and pooled across *all* concurrent
-//!   jobs, so a partial-datapath shape is estimated at most once per run;
+//! * [`crate::satable::SaTable`] — the paper's precalculated SA hash
+//!   table, thread-safe and pooled across *all* concurrent jobs, so a
+//!   partial-datapath shape is estimated at most once per run;
 //! * [`FlowResult`] — the fully measured back end per benchmark × binder.
 //!
 //! With [`Pipeline::with_store`], every expensive stage output is also
@@ -39,8 +39,8 @@
 //! it made, so concurrent jobs never count each other's work; a job that
 //! finds its prepared artifact computed, or being computed, by another
 //! records nothing for it. [`Pipeline::run`] returns the ledger beside
-//! the result, and [`Pipeline::stats`] sums the finished ledgers' stages
-//! — the counts the tests use to prove the sharing and caching claims.
+//! the result, and [`Pipeline::stats`] sums the finished ledgers — the
+//! counts the tests use to prove the sharing and caching claims.
 //!
 //! # Examples
 //!
@@ -65,7 +65,7 @@ use crate::fingerprint::{self, Fingerprint};
 use crate::flow::{self, BindOutcome, Binder, FlowConfig, FlowResult};
 use crate::mux::mux_report;
 use crate::regbind::RegisterBinding;
-use crate::satable::{SaMode, SaTable, SharedSaTable};
+use crate::satable::{SaMode, SaTable};
 use crate::store::{ArtifactKind, ArtifactStore, MappedArtifact, StoreCounts};
 use cdfg::{Cdfg, ResourceConstraint, Schedule};
 use std::collections::HashMap;
@@ -145,9 +145,10 @@ impl fmt::Display for StageCounts {
 
 /// A ledger of work: the stages executed and the store lookups made
 /// (store counts stay zero when no store is attached). One job's ledger
-/// is its [`crate::api::JobReport`] stats; [`Pipeline::stats`] and
-/// [`crate::api::Service::stats`] are totals. Codec time is no part of
-/// it: that is one process's parse cost, kept per store handle
+/// is its [`crate::api::JobReport`] stats; [`Pipeline::stats`] is the
+/// sum of a pipeline's ledgers, and [`crate::api::Service::stats`] adds
+/// its pipelines' stages to its store handle's lookups. Codec time is no
+/// part of it: that is one process's parse cost, kept per store handle
 /// ([`ArtifactStore::codec`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
@@ -163,11 +164,11 @@ pub struct PipelineStats {
 #[derive(Debug)]
 pub struct Pipeline {
     cfg: FlowConfig,
-    /// The stages of every finished ledger.
-    stages: Mutex<StageCounts>,
+    /// The sum of every finished ledger.
+    totals: Mutex<PipelineStats>,
     prepared: Mutex<HashMap<Fingerprint, Arc<OnceLock<Arc<Prepared>>>>>,
-    sa_glitch: SharedSaTable,
-    sa_zero_delay: SharedSaTable,
+    sa_glitch: SaTable,
+    sa_zero_delay: SaTable,
     /// Entry counts of the two SA caches at their last flush. SA caches
     /// are insert-only (absorb keeps existing values), so an unchanged
     /// count means nothing new to merge — a long-lived service flushing
@@ -187,8 +188,8 @@ impl Pipeline {
     /// Creates a pipeline backed by a persistent [`ArtifactStore`]
     /// (local directory or remote daemon — the pipeline never cares):
     /// prepared artifacts, mapped netlists, and simulation summaries are
-    /// served from (and saved to) the store, and the SA table is loaded
-    /// from its shard now and merged back by
+    /// served from (and saved to) the store, and the SA table starts as
+    /// the store's shard and is merged back by
     /// [`Pipeline::flush_store`] (which [`Pipeline::run_matrix`] calls
     /// automatically) — persistent by default, no separate flag.
     pub fn with_store(cfg: FlowConfig, store: Arc<ArtifactStore>) -> Self {
@@ -196,23 +197,17 @@ impl Pipeline {
     }
 
     fn build(cfg: FlowConfig, store: Option<Arc<ArtifactStore>>) -> Self {
-        let sa_glitch = SharedSaTable::new(cfg.sa_width, cfg.k).with_mode(cfg.sa_mode);
-        let sa_zero_delay =
-            SharedSaTable::new(cfg.sa_width, cfg.k).with_mode(SaMode::ZeroDelayAblation);
-        if let Some(store) = &store {
-            for cache in [&sa_glitch, &sa_zero_delay] {
-                if let Some(table) = store.load_sa_table(cache.mode(), cfg.sa_width, cfg.k) {
-                    // Absorbing into a freshly built empty cache can
-                    // neither conflict nor mismatch (load_sa_table only
-                    // returns tables matching this cache's mode/width/k);
-                    // conflicts with the disk shard surface at
-                    // flush_store, where both sides hold entries.
-                    cache
-                        .absorb(&table)
-                        .expect("shard compatible by construction");
-                }
-            }
-        }
+        // Each cache is the store's shard for its mode (load_sa_table
+        // only returns shards matching the mode, width and k), or an
+        // empty table without one.
+        let cache = |mode| {
+            store
+                .as_ref()
+                .and_then(|s| s.load_sa_table(mode, cfg.sa_width, cfg.k))
+                .unwrap_or_else(|| SaTable::new(cfg.sa_width, cfg.k).with_mode(mode))
+        };
+        let sa_glitch = cache(cfg.sa_mode);
+        let sa_zero_delay = cache(SaMode::ZeroDelayAblation);
         // Entries loaded from the store's shard are already on disk:
         // they never need flushing back.
         let sa_flushed = [
@@ -221,7 +216,7 @@ impl Pipeline {
         ];
         Pipeline {
             cfg,
-            stages: Mutex::default(),
+            totals: Mutex::default(),
             prepared: Mutex::new(HashMap::new()),
             sa_glitch,
             sa_zero_delay,
@@ -240,25 +235,20 @@ impl Pipeline {
         self.store.as_ref()
     }
 
-    /// The stages of every finished ledger, plus the attached store
-    /// handle's hit/miss counters.
+    /// The sum of every finished ledger: the stages this pipeline ran
+    /// and the store lookups it made (other users of a shared store
+    /// handle are not counted).
     pub fn stats(&self) -> PipelineStats {
-        PipelineStats {
-            stages: *self.stages.lock().expect("pipeline stages lock"),
-            store: self
-                .store
-                .as_ref()
-                .map(|s| s.counters())
-                .unwrap_or_default(),
-        }
+        *self.totals.lock().expect("pipeline totals lock")
     }
 
-    /// Runs `f` on a fresh ledger and adds the ledger's stages to the
-    /// totals.
+    /// Runs `f` on a fresh ledger and adds the ledger to the totals.
     fn counted<T>(&self, f: impl FnOnce(&mut PipelineStats) -> T) -> T {
         let mut ledger = PipelineStats::default();
         let value = f(&mut ledger);
-        *self.stages.lock().expect("pipeline stages lock") += ledger.stages;
+        let mut totals = self.totals.lock().expect("pipeline totals lock");
+        totals.stages += ledger.stages;
+        totals.store += ledger.store;
         value
     }
 
@@ -289,14 +279,14 @@ impl Pipeline {
         {
             // Insert-only cache: an unchanged entry count since the last
             // flush means the shard on disk already covers it. (Racing
-            // flushes may both merge — merge-on-absorb makes that safe.)
+            // flushes may both merge — merge-on-absorb makes that safe —
+            // and entries added during a merge are merged again next time.)
             let len = cache.len();
             if len == 0 || len == flushed.load(Ordering::Relaxed) {
                 continue;
             }
-            let snapshot = cache.snapshot();
-            flushed.store(snapshot.len(), Ordering::Relaxed);
-            let stats = store.merge_sa_table(&snapshot);
+            flushed.store(len, Ordering::Relaxed);
+            let stats = store.merge_sa_table(cache);
             if stats.conflicting > 0 {
                 eprintln!(
                     "warning: merging SA cache `{}` into the store hit {} conflicting entries \
@@ -310,33 +300,11 @@ impl Pipeline {
 
     /// The cross-job SA cache a binder draws from (glitch-aware for the
     /// main algorithm, zero-delay for the glitch-model ablation).
-    pub fn sa_cache(&self, binder: Binder) -> &SharedSaTable {
+    pub fn sa_cache(&self, binder: Binder) -> &SaTable {
         match binder {
             Binder::HlPowerZeroDelay { .. } => &self.sa_zero_delay,
             _ => &self.sa_glitch,
         }
-    }
-
-    /// Pre-seeds the SA cache `binder` draws from, using a persisted
-    /// table (the paper's offline-generated hash table file). The
-    /// returned [`crate::satable::AbsorbStats`] reports inserted vs
-    /// already-matching vs conflicting entries.
-    ///
-    /// # Errors
-    ///
-    /// Refuses tables whose width, LUT size, or estimation mode do not
-    /// match that cache (see [`SharedSaTable::absorb`]).
-    pub fn seed_sa_cache(
-        &self,
-        binder: Binder,
-        table: &SaTable,
-    ) -> Result<crate::satable::AbsorbStats, crate::satable::SaTableMismatch> {
-        self.sa_cache(binder).absorb(table)
-    }
-
-    /// A snapshot of the SA cache `binder` draws from, for persistence.
-    pub fn sa_snapshot(&self, binder: Binder) -> SaTable {
-        self.sa_cache(binder).snapshot()
     }
 
     /// The shared front end of one benchmark — schedule plus register
@@ -703,7 +671,7 @@ mod tests {
         // per job; pooling stores each distinct shape once. (Concurrent
         // first misses on the same key may both compute — identical
         // values, first write wins — so misses can exceed entries.)
-        assert!(pipeline.sa_snapshot(binders[0]).len() as u64 <= misses);
+        assert!(pipeline.sa_cache(binders[0]).len() as u64 <= misses);
     }
 
     #[test]
@@ -794,22 +762,21 @@ mod tests {
     fn seeding_rejects_incompatible_tables() {
         let pipeline = Pipeline::new(FlowConfig::fast());
         let binder = Binder::HlPower { alpha: 0.5 };
-        let mut wrong_width = SaTable::new(pipeline.config().sa_width + 1, 4);
+        let wrong_width = SaTable::new(pipeline.config().sa_width + 1, 4);
         wrong_width.get(cdfg::FuType::AddSub, 1, 1);
-        assert!(pipeline.seed_sa_cache(binder, &wrong_width).is_err());
+        assert!(pipeline.sa_cache(binder).absorb(&wrong_width).is_err());
         // The zero-delay ablation cache refuses glitch-aware tables.
         let cfg = pipeline.config();
-        let mut glitchy = SaTable::new(cfg.sa_width, cfg.k);
+        let glitchy = SaTable::new(cfg.sa_width, cfg.k);
         glitchy.get(cdfg::FuType::AddSub, 1, 1);
         let zd = Binder::HlPowerZeroDelay { alpha: 0.5 };
-        assert!(pipeline.seed_sa_cache(zd, &glitchy).is_err());
+        assert!(pipeline.sa_cache(zd).absorb(&glitchy).is_err());
         // A matching table seeds cleanly and is served back verbatim.
         assert_eq!(
-            pipeline.seed_sa_cache(binder, &glitchy).unwrap().inserted,
+            pipeline.sa_cache(binder).absorb(&glitchy).unwrap().inserted,
             1
         );
-        let snap = pipeline.sa_snapshot(binder);
-        assert_eq!(snap.len(), 1);
+        assert_eq!(pipeline.sa_cache(binder).len(), 1);
         // A pipeline configured for simulated SA training refuses
         // estimator tables but accepts simulated ones — so tables written
         // by `hlp table --sa-mode simulated` are actually loadable.
@@ -817,13 +784,14 @@ mod tests {
             sa_mode: SaMode::Simulated,
             ..FlowConfig::fast()
         });
-        assert!(sim_pipeline.seed_sa_cache(binder, &glitchy).is_err());
+        assert!(sim_pipeline.sa_cache(binder).absorb(&glitchy).is_err());
         let sim_cfg = sim_pipeline.config();
-        let mut sim_table = SaTable::new(sim_cfg.sa_width, sim_cfg.k).with_mode(SaMode::Simulated);
+        let sim_table = SaTable::new(sim_cfg.sa_width, sim_cfg.k).with_mode(SaMode::Simulated);
         sim_table.insert(cdfg::FuType::AddSub, 2, 2, 12.5);
         assert_eq!(
             sim_pipeline
-                .seed_sa_cache(binder, &sim_table)
+                .sa_cache(binder)
+                .absorb(&sim_table)
                 .unwrap()
                 .inserted,
             1
@@ -922,13 +890,10 @@ mod tests {
         let cfg = FlowConfig::fast();
         Pipeline::with_store(cfg.clone(), store.clone()).run_matrix(&suite, &binders, 1);
         // Same binding, different simulation seed: netlist hit, sim miss.
-        // Fresh store handles per pipeline keep the hit/miss counters
-        // attributable, as separate processes would have them.
         let reseeded = FlowConfig {
             sim_seed: 999,
             ..cfg
         };
-        let store = Arc::new(ArtifactStore::open(store.root()).unwrap());
         let p = Pipeline::with_store(reseeded.clone(), store.clone());
         p.run_matrix(&suite, &binders, 1);
         let stats = p.stats();

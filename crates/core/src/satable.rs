@@ -166,11 +166,11 @@ pub enum SaMode {
 
 /// A source of partial-datapath SA estimates for Eq. 4 edge weights.
 ///
-/// Implemented by the single-threaded [`SaTable`], by
-/// [`SharedSaRef`] (a handle onto the cross-job [`SharedSaTable`]
-/// cache), and by counting adapters inside the flow. Binders take
-/// `&mut impl SaSource`, so the same algorithm runs against a private
-/// memo or a cache pooled across concurrent pipeline jobs.
+/// Implemented by [`SaTable`], by [`SharedSaRef`] (a shared handle onto
+/// one table, such as a pipeline's cross-job cache), and by counting
+/// adapters inside the flow. Binders take `&mut impl SaSource`, so the
+/// same algorithm runs against a private table or one pooled across
+/// concurrent pipeline jobs.
 pub trait SaSource {
     /// The estimated SA of the `(fu, mux_a, mux_b)` partial datapath.
     fn sa(&mut self, fu: FuType, mux_a: usize, mux_b: usize) -> f64;
@@ -182,27 +182,38 @@ impl SaSource for SaTable {
     }
 }
 
-/// Memoized switching-activity table.
+/// Memoized switching-activity table: the paper's precalculated hash
+/// table, thread-safe so one table serves a private bind and every
+/// concurrent job of a [`crate::pipeline::Pipeline`] alike. The paper
+/// precomputes its table once and reuses it for every benchmark; jobs
+/// sharing one table estimate a `(fu, mux_a, mux_b)` shape at most once
+/// per run no matter how many benchmark × binder jobs query it.
+///
+/// Lookups take a read lock; a miss computes **outside** any lock (the
+/// expensive map-and-estimate step runs concurrently) and then inserts
+/// under a short write lock. [`compute_sa`] is deterministic, so racing
+/// computations of the same key insert identical values and results never
+/// depend on job interleaving.
 ///
 /// # Examples
 ///
 /// ```
 /// use cdfg::FuType;
 /// use hlpower::satable::SaTable;
-/// let mut t = SaTable::new(4, 4);
+/// let t = SaTable::new(4, 4);
 /// let sa21 = t.get(FuType::AddSub, 2, 1);
 /// let sa22 = t.get(FuType::AddSub, 2, 2);
 /// assert!(sa22 > sa21, "more mux inputs switch more");
 /// assert_eq!(t.len(), 2);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SaTable {
     width: usize,
     k: usize,
     mode: SaMode,
-    entries: HashMap<(FuType, u32, u32), f64>,
-    queries: u64,
-    misses: u64,
+    entries: RwLock<HashMap<(FuType, u32, u32), f64>>,
+    queries: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl SaTable {
@@ -212,9 +223,9 @@ impl SaTable {
             width,
             k,
             mode: SaMode::Precalculated,
-            entries: HashMap::new(),
-            queries: 0,
-            misses: 0,
+            entries: RwLock::default(),
+            queries: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -236,62 +247,77 @@ impl SaTable {
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.read().expect("sa table lock").len()
     }
 
     /// Whether the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// `(queries, cache misses)` counters for the precalc-vs-dynamic
-    /// runtime comparison.
+    /// `(queries, cache misses)` counters across every caller of the
+    /// table, for the precalc-vs-dynamic runtime comparison.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cdfg::FuType;
+    /// use hlpower::satable::SaTable;
+    /// let t = SaTable::new(4, 4);
+    /// let a = t.get(FuType::AddSub, 2, 2);
+    /// let b = t.get(FuType::AddSub, 2, 2);
+    /// assert_eq!(a, b);
+    /// assert_eq!(t.counters(), (2, 1), "second query hits the cache");
+    /// ```
     pub fn counters(&self) -> (u64, u64) {
-        (self.queries, self.misses)
+        (
+            self.queries.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
     }
 
     /// The estimated SA of the `(fu, mux_a, mux_b)` partial datapath.
-    pub fn get(&mut self, fu: FuType, mux_a: usize, mux_b: usize) -> f64 {
-        self.queries += 1;
+    pub fn get(&self, fu: FuType, mux_a: usize, mux_b: usize) -> f64 {
+        self.queries.fetch_add(1, Ordering::Relaxed);
         let key = key(fu, mux_a, mux_b);
-        match self.mode {
-            SaMode::Dynamic => {
-                self.misses += 1;
-                compute_sa(fu, mux_a, mux_b, self.width, self.k, true)
-            }
-            mode => {
-                let (width, k) = (self.width, self.k);
-                let misses = &mut self.misses;
-                *self.entries.entry(key).or_insert_with(|| {
-                    *misses += 1;
-                    compute_for_mode(mode, fu, mux_a, mux_b, width, k)
-                })
-            }
+        if self.mode == SaMode::Dynamic {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return compute_sa(fu, mux_a, mux_b, self.width, self.k, true);
         }
+        if let Some(&sa) = self.entries.read().expect("sa table lock").get(&key) {
+            return sa;
+        }
+        // Compute outside the lock; a concurrent miss on the same key
+        // computes the identical value (both the estimator and the
+        // fixed-seed simulated trainer are deterministic), so
+        // first-write-wins is fine.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let sa = compute_for_mode(self.mode, fu, mux_a, mux_b, self.width, self.k);
+        *self
+            .entries
+            .write()
+            .expect("sa table lock")
+            .entry(key)
+            .or_insert(sa)
     }
 
     /// The memoized value for `(fu, mux_a, mux_b)`, if present. Does not
     /// compute on miss and does not touch the query counters.
     pub fn lookup(&self, fu: FuType, mux_a: usize, mux_b: usize) -> Option<f64> {
-        self.entries.get(&key(fu, mux_a, mux_b)).copied()
+        let entries = self.entries.read().expect("sa table lock");
+        entries.get(&key(fu, mux_a, mux_b)).copied()
     }
 
     /// Stores a value for `(fu, mux_a, mux_b)`, replacing any previous
     /// entry. Used to seed a table from persisted or shared caches.
-    pub fn insert(&mut self, fu: FuType, mux_a: usize, mux_b: usize, sa: f64) {
-        self.entries.insert(key(fu, mux_a, mux_b), sa);
-    }
-
-    /// Iterates over all memoized entries as `(fu, mux_a, mux_b, sa)`.
-    pub fn entries(&self) -> impl Iterator<Item = (FuType, usize, usize, f64)> + '_ {
-        self.entries
-            .iter()
-            .map(|(&(fu, a, b), &sa)| (fu, a as usize, b as usize, sa))
+    pub fn insert(&self, fu: FuType, mux_a: usize, mux_b: usize, sa: f64) {
+        let mut entries = self.entries.write().expect("sa table lock");
+        entries.insert(key(fu, mux_a, mux_b), sa);
     }
 
     /// Precomputes all entries with mux sizes up to `max_size` (the
     /// paper's offline generation pass).
-    pub fn precompute(&mut self, max_size: usize) {
+    pub fn precompute(&self, max_size: usize) {
         for fu in FuType::ALL {
             for a in 1..=max_size {
                 for b in 1..=max_size {
@@ -306,6 +332,58 @@ impl SaTable {
         self.mode
     }
 
+    /// Copies all entries of `other` into this table (seeding from a
+    /// persisted table, or merging into a store shard). Existing entries
+    /// win, and the returned [`AbsorbStats`] reports exactly what
+    /// happened: how many entries were newly inserted, how many already
+    /// matched (within the text persistence precision), and how many
+    /// **conflicted** — same key, materially different estimate. A
+    /// conflict means two tables claim different SA values for the same
+    /// partial-datapath shape; callers should surface the count as a
+    /// warning rather than let one side win silently.
+    ///
+    /// # Errors
+    ///
+    /// Refuses tables whose width, LUT size, or estimation mode differ
+    /// from this table's — mixing estimates from incompatible models
+    /// would silently change Eq. 4 edge weights and break run-to-run
+    /// reproducibility.
+    pub fn absorb(&self, other: &SaTable) -> Result<AbsorbStats, SaTableMismatch> {
+        if (other.width, other.k, other.mode) != (self.width, self.k, self.mode) {
+            return Err(SaTableMismatch {
+                expected: (self.width, self.k, self.mode),
+                found: (other.width, other.k, other.mode),
+            });
+        }
+        // Copy the offered entries out before taking the write lock:
+        // `other` may be `self`, whose read lock would deadlock it.
+        let offered = other.entries.read().expect("sa table lock").clone();
+        let mut entries = self.entries.write().expect("sa table lock");
+        let mut stats = AbsorbStats::default();
+        for (key, sa) in offered {
+            match entries.entry(key) {
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    slot.insert(sa);
+                    stats.inserted += 1;
+                }
+                std::collections::hash_map::Entry::Occupied(slot) => {
+                    if (slot.get() - sa).abs() <= ABSORB_TOLERANCE {
+                        stats.matched += 1;
+                    } else {
+                        stats.conflicting += 1;
+                    }
+                }
+            }
+        }
+        Ok(stats)
+    }
+
+    /// A [`SaSource`] handle usable wherever a binder wants `&mut impl
+    /// SaSource` while the table itself stays shared.
+    pub fn handle(&self) -> SharedSaRef<'_> {
+        SharedSaRef(self)
+    }
+
     /// Serializes the table to the text format the paper stores on disk.
     /// The header records width, LUT size, and estimation mode so loads
     /// can refuse incompatible tables. Values use Rust's shortest
@@ -316,6 +394,8 @@ impl SaTable {
     pub fn to_text(&self) -> String {
         let mut lines: Vec<String> = self
             .entries
+            .read()
+            .expect("sa table lock")
             .iter()
             .map(|(&(fu, a, b), &sa)| format!("{fu} {a} {b} {sa}"))
             .collect();
@@ -373,12 +453,8 @@ impl SaTable {
             entries.insert((fu, a, b), sa);
         }
         Ok(SaTable {
-            width,
-            k,
-            mode,
-            entries,
-            queries: 0,
-            misses: 0,
+            entries: RwLock::new(entries),
+            ..SaTable::new(width, k).with_mode(mode)
         })
     }
 
@@ -390,16 +466,16 @@ impl SaTable {
     /// the artifact store depends on this).
     pub fn to_bin(&self) -> Vec<u8> {
         let mut w = binio::BinWriter::new(binio::KIND_SA_TABLE, SA_TABLE_VERSION);
+        let entries = self.entries.read().expect("sa table lock");
 
         let mut header = Vec::new();
         header.extend_from_slice(&(self.width as u64).to_le_bytes());
         header.extend_from_slice(&(self.k as u64).to_le_bytes());
         binio::put_str(&mut header, mode_name(self.mode));
-        header.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        header.extend_from_slice(&(entries.len() as u64).to_le_bytes());
         w.section(&header);
 
-        let mut sorted: Vec<(u32, u32, u32, u64)> = self
-            .entries
+        let mut sorted: Vec<(u32, u32, u32, u64)> = entries
             .iter()
             .map(|(&(fu, a, b), &sa)| (fu_tag(fu), a, b, sa.to_bits()))
             .collect();
@@ -457,12 +533,8 @@ impl SaTable {
             return Err(BinError::Malformed("duplicate SA entry key".to_string()));
         }
         Ok(SaTable {
-            width,
-            k,
-            mode,
-            entries,
-            queries: 0,
-            misses: 0,
+            entries: RwLock::new(entries),
+            ..SaTable::new(width, k).with_mode(mode)
         })
     }
 }
@@ -527,192 +599,9 @@ fn key(fu: FuType, mux_a: usize, mux_b: usize) -> (FuType, u32, u32) {
     (fu, a, b)
 }
 
-/// Thread-safe SA memo shared by concurrent pipeline jobs.
-///
-/// The paper precomputes its SA hash table once and reuses it for every
-/// benchmark; this is the concurrent analogue — all HLPower jobs running
-/// under one [`crate::pipeline::Pipeline`] pool their partial-datapath
-/// estimates, so a `(fu, mux_a, mux_b)` shape is mapped, simulated, and
-/// estimated at most once per run no matter how many benchmark × binder
-/// jobs query it.
-///
-/// Lookups take a read lock; a miss computes **outside** any lock (the
-/// expensive map-and-estimate step runs concurrently) and then inserts
-/// under a short write lock. [`compute_sa`] is deterministic, so racing
-/// computations of the same key insert identical values and results never
-/// depend on job interleaving.
-///
-/// # Examples
-///
-/// ```
-/// use cdfg::FuType;
-/// use hlpower::satable::SharedSaTable;
-/// let t = SharedSaTable::new(4, 4);
-/// let a = t.get(FuType::AddSub, 2, 2);
-/// let b = t.get(FuType::AddSub, 2, 2);
-/// assert_eq!(a, b);
-/// assert_eq!(t.counters(), (2, 1), "second query hits the cache");
-/// ```
-#[derive(Debug)]
-pub struct SharedSaTable {
-    width: usize,
-    k: usize,
-    mode: SaMode,
-    entries: RwLock<HashMap<(FuType, u32, u32), f64>>,
-    queries: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SharedSaTable {
-    /// Creates an empty shared table for a datapath `width` and LUT size
-    /// `k`.
-    pub fn new(width: usize, k: usize) -> Self {
-        SharedSaTable {
-            width,
-            k,
-            mode: SaMode::Precalculated,
-            entries: RwLock::new(HashMap::new()),
-            queries: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Sets the estimation mode (see [`SaMode`]).
-    pub fn with_mode(mut self, mode: SaMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Wraps the contents of a single-threaded table (e.g. one loaded
-    /// from disk with [`SaTable::from_text`]).
-    pub fn from_table(table: &SaTable) -> Self {
-        let shared = SharedSaTable::new(table.width, table.k).with_mode(table.mode);
-        shared
-            .absorb(table)
-            .expect("same width/k/mode by construction");
-        shared
-    }
-
-    /// Datapath width of the modeled partial datapaths.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The estimation mode of this cache.
-    pub fn mode(&self) -> SaMode {
-        self.mode
-    }
-
-    /// Number of memoized entries.
-    pub fn len(&self) -> usize {
-        self.entries.read().expect("sa table lock").len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(queries, cache misses)` counters across all jobs.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.queries.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The estimated SA of the `(fu, mux_a, mux_b)` partial datapath.
-    pub fn get(&self, fu: FuType, mux_a: usize, mux_b: usize) -> f64 {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let key = key(fu, mux_a, mux_b);
-        if self.mode == SaMode::Dynamic {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return compute_sa(fu, mux_a, mux_b, self.width, self.k, true);
-        }
-        if let Some(&sa) = self.entries.read().expect("sa table lock").get(&key) {
-            return sa;
-        }
-        // Compute outside the lock; a concurrent miss on the same key
-        // computes the identical value (both the estimator and the
-        // fixed-seed simulated trainer are deterministic), so
-        // first-write-wins is fine.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let sa = compute_for_mode(self.mode, fu, mux_a, mux_b, self.width, self.k);
-        *self
-            .entries
-            .write()
-            .expect("sa table lock")
-            .entry(key)
-            .or_insert(sa)
-    }
-
-    /// Copies all entries from a single-threaded table into the cache
-    /// (pre-seeding from a persisted table). Existing entries win, and
-    /// the returned [`AbsorbStats`] reports exactly what happened:
-    /// how many entries were newly inserted, how many already matched
-    /// (within the text persistence precision), and how many
-    /// **conflicted** — same key, materially different estimate. A
-    /// conflict means two tables claim different SA values for the same
-    /// partial-datapath shape; callers should surface the count as a
-    /// warning rather than let one side win silently.
-    ///
-    /// # Errors
-    ///
-    /// Refuses tables whose width, LUT size, or estimation mode differ
-    /// from this cache's — mixing estimates from incompatible models
-    /// would silently change Eq. 4 edge weights and break run-to-run
-    /// reproducibility.
-    pub fn absorb(&self, table: &SaTable) -> Result<AbsorbStats, SaTableMismatch> {
-        if table.width != self.width || table.k != self.k || table.mode != self.mode {
-            return Err(SaTableMismatch {
-                expected: (self.width, self.k, self.mode),
-                found: (table.width, table.k, table.mode),
-            });
-        }
-        let mut entries = self.entries.write().expect("sa table lock");
-        let mut stats = AbsorbStats::default();
-        for (&k, &sa) in &table.entries {
-            match entries.entry(k) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(sa);
-                    stats.inserted += 1;
-                }
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    if (slot.get() - sa).abs() <= ABSORB_TOLERANCE {
-                        stats.matched += 1;
-                    } else {
-                        stats.conflicting += 1;
-                    }
-                }
-            }
-        }
-        Ok(stats)
-    }
-
-    /// A point-in-time copy as a single-threaded [`SaTable`] — the bridge
-    /// to [`SaTable::to_text`] persistence.
-    pub fn snapshot(&self) -> SaTable {
-        let (queries, misses) = self.counters();
-        SaTable {
-            width: self.width,
-            k: self.k,
-            mode: self.mode,
-            entries: self.entries.read().expect("sa table lock").clone(),
-            queries,
-            misses,
-        }
-    }
-
-    /// A [`SaSource`] handle usable wherever a binder wants `&mut impl
-    /// SaSource`.
-    pub fn handle(&self) -> SharedSaRef<'_> {
-        SharedSaRef(self)
-    }
-}
-
-/// Borrowed [`SaSource`] view of a [`SharedSaTable`].
+/// Borrowed [`SaSource`] view of a shared [`SaTable`].
 #[derive(Clone, Copy, Debug)]
-pub struct SharedSaRef<'a>(pub &'a SharedSaTable);
+pub struct SharedSaRef<'a>(pub &'a SaTable);
 
 impl SaSource for SharedSaRef<'_> {
     fn sa(&mut self, fu: FuType, mux_a: usize, mux_b: usize) -> f64 {
@@ -720,7 +609,7 @@ impl SaSource for SharedSaRef<'_> {
     }
 }
 
-/// Agreement tolerance for [`SharedSaTable::absorb`]. Tables written by
+/// Agreement tolerance for [`SaTable::absorb`]. Tables written by
 /// the current [`SaTable::to_text`] reload bit-exactly (shortest
 /// round-trip formatting), but tables persisted by earlier releases were
 /// rounded to six decimal places, so entries re-loaded from such legacy
@@ -729,7 +618,7 @@ impl SaSource for SharedSaRef<'_> {
 /// between two estimate sources, not persistence noise.
 pub const ABSORB_TOLERANCE: f64 = 5e-6;
 
-/// What [`SharedSaTable::absorb`] did with each offered entry.
+/// What [`SaTable::absorb`] did with each offered entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AbsorbStats {
     /// Entries newly inserted into the cache.
@@ -758,7 +647,7 @@ impl fmt::Display for AbsorbStats {
     }
 }
 
-/// Rejection of an incompatible table in [`SharedSaTable::absorb`]:
+/// Rejection of an incompatible table in [`SaTable::absorb`]:
 /// `(width, k, mode)` expected by the cache vs found in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaTableMismatch {
@@ -866,7 +755,7 @@ mod tests {
 
     #[test]
     fn sa_grows_with_mux_size() {
-        let mut t = SaTable::new(4, 4);
+        let t = SaTable::new(4, 4);
         let a11 = t.get(FuType::AddSub, 1, 1);
         let a33 = t.get(FuType::AddSub, 3, 3);
         assert!(a33 > a11, "bigger muxes -> more switching: {a11} vs {a33}");
@@ -877,7 +766,7 @@ mod tests {
         // At tiny widths the truncated multiplier can be smaller than the
         // adder; at the paper's datapath widths the multiplier dominates
         // (hence β ≈ 30 vs β ≈ 1000).
-        let mut t = SaTable::new(8, 4);
+        let t = SaTable::new(8, 4);
         let a11 = t.get(FuType::AddSub, 1, 1);
         let m11 = t.get(FuType::Mul, 1, 1);
         assert!(
@@ -891,7 +780,7 @@ mod tests {
         // Regression: keys used to clamp to u16::MAX, silently aliasing
         // every mux wider than 65535 pins (65536, 65537, ...) onto the
         // 65535 entry. The boundary values must stay distinct.
-        let mut t = SaTable::new(4, 4);
+        let t = SaTable::new(4, 4);
         let big = u16::MAX as usize; // 65535
         t.insert(FuType::AddSub, big, 1, 1.0);
         t.insert(FuType::AddSub, big + 1, 1, 2.0);
@@ -907,7 +796,7 @@ mod tests {
 
     #[test]
     fn simulated_mode_measures_with_the_word_simulator() {
-        let mut t = SaTable::new(4, 4).with_mode(SaMode::Simulated);
+        let t = SaTable::new(4, 4).with_mode(SaMode::Simulated);
         let s11 = t.get(FuType::AddSub, 1, 1);
         let s33 = t.get(FuType::AddSub, 3, 3);
         assert!(s11 > 0.0);
@@ -917,7 +806,7 @@ mod tests {
         let (q, m) = t.counters();
         assert_eq!((q, m), (3, 2));
         // Deterministic: the trainer's seed and lane count are fixed.
-        let mut u = SaTable::new(4, 4).with_mode(SaMode::Simulated);
+        let u = SaTable::new(4, 4).with_mode(SaMode::Simulated);
         assert_eq!(u.get(FuType::AddSub, 1, 1), s11);
         // Matches the free function on the same scale.
         assert_eq!(s11, simulate_sa(FuType::AddSub, 1, 1, 4, 4));
@@ -925,17 +814,17 @@ mod tests {
 
     #[test]
     fn simulated_mode_roundtrips_and_refuses_mixing() {
-        let mut t = SaTable::new(4, 4).with_mode(SaMode::Simulated);
+        let t = SaTable::new(4, 4).with_mode(SaMode::Simulated);
         t.get(FuType::Mul, 2, 1);
         let text = t.to_text();
         assert!(text.contains("mode=simulated"));
         let back = SaTable::from_text(&text).unwrap();
         assert_eq!(back.mode(), SaMode::Simulated);
-        // The shared cache refuses to absorb simulated entries into an
-        // estimator-trained cache (they are different models).
-        let cache = SharedSaTable::new(4, 4);
+        // A table refuses to absorb simulated entries into an
+        // estimator-trained table (they are different models).
+        let cache = SaTable::new(4, 4);
         assert!(cache.absorb(&back).is_err());
-        let sim_cache = SharedSaTable::new(4, 4).with_mode(SaMode::Simulated);
+        let sim_cache = SaTable::new(4, 4).with_mode(SaMode::Simulated);
         assert_eq!(sim_cache.absorb(&back).unwrap().inserted, 1);
         // Values agree within the 1e-6 text precision and do not recompute.
         let diff = (sim_cache.get(FuType::Mul, 2, 1) - t.get(FuType::Mul, 2, 1)).abs();
@@ -959,7 +848,7 @@ mod tests {
 
     #[test]
     fn memoization_counts() {
-        let mut t = SaTable::new(4, 4);
+        let t = SaTable::new(4, 4);
         t.get(FuType::AddSub, 2, 2);
         t.get(FuType::AddSub, 2, 2);
         t.get(FuType::AddSub, 2, 2);
@@ -973,8 +862,8 @@ mod tests {
     fn dynamic_mode_matches_precalculated_values() {
         // The paper: dynamic estimation gives the same results, only
         // slower. The values must agree exactly.
-        let mut pre = SaTable::new(4, 4);
-        let mut dy = SaTable::new(4, 4).with_mode(SaMode::Dynamic);
+        let pre = SaTable::new(4, 4);
+        let dy = SaTable::new(4, 4).with_mode(SaMode::Dynamic);
         for (a, b) in [(1, 1), (2, 3), (4, 2)] {
             assert_eq!(
                 pre.get(FuType::AddSub, a, b),
@@ -988,8 +877,8 @@ mod tests {
 
     #[test]
     fn zero_delay_ablation_underestimates() {
-        let mut glitchy = SaTable::new(4, 4);
-        let mut blind = SaTable::new(4, 4).with_mode(SaMode::ZeroDelayAblation);
+        let glitchy = SaTable::new(4, 4);
+        let blind = SaTable::new(4, 4).with_mode(SaMode::ZeroDelayAblation);
         let g = glitchy.get(FuType::Mul, 2, 2);
         let z = blind.get(FuType::Mul, 2, 2);
         assert!(
@@ -1000,7 +889,7 @@ mod tests {
 
     #[test]
     fn text_roundtrip() {
-        let mut t = SaTable::new(6, 4);
+        let t = SaTable::new(6, 4);
         t.get(FuType::AddSub, 1, 2);
         t.get(FuType::Mul, 2, 1);
         let text = t.to_text();
@@ -1008,7 +897,6 @@ mod tests {
         let back = SaTable::from_text(&text).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.width(), 6);
-        let mut back = back;
         // Values must round-trip (within the 1e-6 text precision).
         let orig = t.get(FuType::AddSub, 1, 2);
         let load = back.get(FuType::AddSub, 1, 2);
@@ -1019,12 +907,12 @@ mod tests {
 
     #[test]
     fn bin_roundtrip_is_bit_exact_and_byte_stable() {
-        let mut t = SaTable::new(6, 4).with_mode(SaMode::ZeroDelayAblation);
+        let t = SaTable::new(6, 4).with_mode(SaMode::ZeroDelayAblation);
         t.get(FuType::AddSub, 1, 2);
         t.get(FuType::Mul, 2, 1);
         t.insert(FuType::AddSub, u16::MAX as usize + 1, 1, 0.1 + 0.2); // non-representable decimal
         let bin = t.to_bin();
-        let mut back = SaTable::from_bin(&bin).unwrap();
+        let back = SaTable::from_bin(&bin).unwrap();
         assert_eq!(back.width(), 6);
         assert_eq!(back.k(), 4);
         assert_eq!(back.mode(), SaMode::ZeroDelayAblation);
@@ -1043,7 +931,7 @@ mod tests {
 
     #[test]
     fn bin_rejects_corruption() {
-        let mut t = SaTable::new(4, 4);
+        let t = SaTable::new(4, 4);
         t.insert(FuType::AddSub, 1, 1, 2.0);
         let good = t.to_bin();
         for cut in 0..good.len() {
@@ -1076,7 +964,7 @@ mod tests {
 
     #[test]
     fn shared_table_pools_across_threads() {
-        let t = SharedSaTable::new(4, 4);
+        let t = SaTable::new(4, 4);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -1090,20 +978,20 @@ mod tests {
         let (queries, _) = t.counters();
         assert_eq!(queries, 12, "every thread's queries are counted");
         // Values agree with a private table.
-        let mut local = SaTable::new(4, 4);
+        let local = SaTable::new(4, 4);
         assert_eq!(t.get(FuType::AddSub, 2, 2), local.get(FuType::AddSub, 2, 2));
     }
 
     #[test]
     fn shared_table_snapshot_and_absorb_roundtrip() {
-        let shared = SharedSaTable::new(4, 4);
+        let shared = SaTable::new(4, 4);
         shared.get(FuType::AddSub, 2, 2);
         shared.get(FuType::Mul, 1, 2);
-        let snap = shared.snapshot();
-        assert_eq!(snap.len(), 2);
-        // Through the text format and back into a fresh shared cache.
-        let restored = SaTable::from_text(&snap.to_text()).unwrap();
-        let back = SharedSaTable::from_table(&restored);
+        assert_eq!(shared.len(), 2);
+        // Through the text format and back into a fresh table.
+        let restored = SaTable::from_text(&shared.to_text()).unwrap();
+        let back = SaTable::new(4, 4);
+        back.absorb(&restored).unwrap();
         assert_eq!(back.len(), 2);
         let v = back.get(FuType::AddSub, 2, 2);
         assert!((v - shared.get(FuType::AddSub, 2, 2)).abs() < 1e-5);
@@ -1116,7 +1004,7 @@ mod tests {
         fn takes_source(src: &mut impl SaSource) -> f64 {
             src.sa(FuType::AddSub, 2, 2)
         }
-        let shared = SharedSaTable::new(4, 4);
+        let shared = SaTable::new(4, 4);
         let mut handle = shared.handle();
         let a = takes_source(&mut handle);
         let mut local = SaTable::new(4, 4);
@@ -1133,7 +1021,7 @@ mod tests {
 
     #[test]
     fn mode_roundtrips_through_text() {
-        let mut zd = SaTable::new(4, 4).with_mode(SaMode::ZeroDelayAblation);
+        let zd = SaTable::new(4, 4).with_mode(SaMode::ZeroDelayAblation);
         zd.get(FuType::AddSub, 2, 2);
         let text = zd.to_text();
         assert!(text.contains("mode=zero-delay"));
@@ -1146,8 +1034,8 @@ mod tests {
 
     #[test]
     fn absorb_refuses_mismatched_tables() {
-        let cache = SharedSaTable::new(4, 4);
-        let mut narrow = SaTable::new(4, 4);
+        let cache = SaTable::new(4, 4);
+        let narrow = SaTable::new(4, 4);
         narrow.get(FuType::AddSub, 1, 1);
         let first = cache.absorb(&narrow).unwrap();
         assert_eq!(
@@ -1160,7 +1048,7 @@ mod tests {
             (0, 1, 0),
             "already-present agreeing entries count as matched, not inserted"
         );
-        let mut wide = SaTable::new(8, 4);
+        let wide = SaTable::new(8, 4);
         wide.get(FuType::AddSub, 1, 1);
         let err = cache.absorb(&wide).unwrap_err();
         assert_eq!(err.expected.0, 4);
@@ -1171,15 +1059,30 @@ mod tests {
     }
 
     #[test]
+    fn absorb_of_itself_matches_every_entry() {
+        // `absorb` copies the offered entries out before it takes its
+        // own write lock, so a table can absorb itself without hanging.
+        let t = SaTable::new(4, 4);
+        t.get(FuType::AddSub, 1, 2);
+        t.get(FuType::Mul, 2, 2);
+        let stats = t.absorb(&t).unwrap();
+        assert_eq!(
+            (stats.inserted, stats.matched, stats.conflicting),
+            (0, t.len(), 0)
+        );
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
     fn absorb_reports_conflicts_and_keeps_existing_values() {
         // Two tables disagreeing on the same key is a real data problem —
         // absorb must count it instead of silently preferring one side.
-        let cache = SharedSaTable::new(4, 4);
-        let mut ours = SaTable::new(4, 4);
+        let cache = SaTable::new(4, 4);
+        let ours = SaTable::new(4, 4);
         ours.insert(FuType::AddSub, 2, 2, 10.0);
         ours.insert(FuType::Mul, 1, 1, 3.0);
         cache.absorb(&ours).unwrap();
-        let mut theirs = SaTable::new(4, 4);
+        let theirs = SaTable::new(4, 4);
         theirs.insert(FuType::AddSub, 2, 2, 11.0); // conflicts
         theirs.insert(FuType::Mul, 1, 1, 3.0 + 1e-7); // within text precision
         theirs.insert(FuType::Mul, 3, 3, 7.0); // new

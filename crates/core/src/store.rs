@@ -114,14 +114,14 @@ use crate::api::{unescape, Endpoint, RequestError};
 use crate::audit::{self, FsckOptions};
 use crate::fingerprint::Fingerprint;
 use crate::regbind::RegisterBinding;
-use crate::satable::{AbsorbStats, SaMode, SaTable, SharedSaTable};
+use crate::satable::{AbsorbStats, SaMode, SaTable};
 use cdfg::{Lifetimes, ResourceLibrary, Schedule};
 use gatesim::SimStats;
 use netlist::{binio, parse_netlist_text, write_netlist_text, Netlist};
 use std::fmt;
 use std::fs;
 use std::io::{self, BufReader, Read, Write};
-use std::ops::Deref;
+use std::ops::{AddAssign, Deref};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -337,6 +337,17 @@ impl StoreCounts {
             sim_hits: self.sim_hits.saturating_sub(before.sim_hits),
             sim_misses: self.sim_misses.saturating_sub(before.sim_misses),
         }
+    }
+}
+
+impl AddAssign for StoreCounts {
+    fn add_assign(&mut self, other: StoreCounts) {
+        self.prepared_hits += other.prepared_hits;
+        self.prepared_misses += other.prepared_misses;
+        self.netlist_hits += other.netlist_hits;
+        self.netlist_misses += other.netlist_misses;
+        self.sim_hits += other.sim_hits;
+        self.sim_misses += other.sim_misses;
     }
 }
 
@@ -894,9 +905,15 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
 
     /// Merges a table into the shard for its `(mode, width, k)` —
     /// existing entries win, conflicts are counted — and reports what
-    /// the merge did. The shard bytes the merge writes or sends come
-    /// from `encode`, which charges the store handle's codec time.
-    fn merge_sa(&self, table: &SaTable, encode: &dyn Fn(&SaTable) -> Vec<u8>) -> AbsorbStats;
+    /// the merge did. A shard the merge reads is parsed by `decode`, and
+    /// the shard bytes it writes or sends come from `encode`; both charge
+    /// the store handle's codec time.
+    fn merge_sa(
+        &self,
+        table: &SaTable,
+        decode: &dyn Fn(&[u8]) -> Option<SaTable>,
+        encode: &dyn Fn(&SaTable) -> Vec<u8>,
+    ) -> AbsorbStats;
 
     /// The store's root directory, when the bytes live on this host
     /// (local maintenance — `gc`, `usage` — needs it).
@@ -1285,10 +1302,13 @@ impl StoreBackend for LocalStore {
         Ok(names)
     }
 
-    fn merge_sa(&self, table: &SaTable, encode: &dyn Fn(&SaTable) -> Vec<u8>) -> AbsorbStats {
-        let mode = table.mode();
-        let width = table.width();
-        let k = table.k();
+    fn merge_sa(
+        &self,
+        table: &SaTable,
+        decode: &dyn Fn(&[u8]) -> Option<SaTable>,
+        encode: &dyn Fn(&SaTable) -> Vec<u8>,
+    ) -> AbsorbStats {
+        let (mode, width, k) = (table.mode(), table.width(), table.k());
         let name = sa_shard_name(mode, width, k);
         // Read-merge-write under an advisory file lock
         // (`satables/.lock`), so concurrent processes flushing into one
@@ -1299,19 +1319,14 @@ impl StoreBackend for LocalStore {
         let lock = fs::File::create(self.root.join(ArtifactKind::Satables.dir()).join(".lock"))
             .and_then(|f| f.lock().map(|()| f))
             .ok();
-        let merged = SharedSaTable::new(width, k).with_mode(mode);
-        if let Some(existing) = self
+        let merged = self
             .get(ArtifactKind::Satables, &name)
-            .and_then(|data| shard_from_bytes(&data, mode, width, k))
-        {
-            merged
-                .absorb(&existing)
-                .expect("shard compatible by construction");
-        }
+            .and_then(|data| decode(&data))
+            .unwrap_or_else(|| SaTable::new(width, k).with_mode(mode));
         let stats = merged
             .absorb(table)
             .expect("shard compatible by construction");
-        self.put(ArtifactKind::Satables, &name, &encode(&merged.snapshot()));
+        self.put(ArtifactKind::Satables, &name, &encode(&merged));
         drop(lock);
         stats
     }
@@ -1573,7 +1588,12 @@ impl StoreBackend for RemoteStore {
         self.try_list(kind)
     }
 
-    fn merge_sa(&self, table: &SaTable, encode: &dyn Fn(&SaTable) -> Vec<u8>) -> AbsorbStats {
+    fn merge_sa(
+        &self,
+        table: &SaTable,
+        _decode: &dyn Fn(&[u8]) -> Option<SaTable>,
+        encode: &dyn Fn(&SaTable) -> Vec<u8>,
+    ) -> AbsorbStats {
         match self.try_merge_sa(&encode(table)) {
             Ok(stats) => stats,
             Err(e) => {
@@ -1882,9 +1902,15 @@ impl ArtifactStore {
     /// Returns what the merge did, including the conflict count the
     /// caller should warn about.
     pub fn merge_sa_table(&self, table: &SaTable) -> AbsorbStats {
-        let encode_ns = &self.counters.encode_ns[ArtifactKind::Satables.index()];
-        self.backend
-            .merge_sa(table, &|shard| Self::timed(encode_ns, || shard.to_bin()))
+        let (mode, width, k) = (table.mode(), table.width(), table.k());
+        let slot = ArtifactKind::Satables.index();
+        let decode_ns = &self.counters.decode_ns[slot];
+        let encode_ns = &self.counters.encode_ns[slot];
+        self.backend.merge_sa(
+            table,
+            &|data| Self::timed(decode_ns, || shard_from_bytes(data, mode, width, k)),
+            &|shard| Self::timed(encode_ns, || shard.to_bin()),
+        )
     }
 
     // ---- store-level operations --------------------------------------------
@@ -2448,23 +2474,26 @@ mod tests {
     #[test]
     fn sa_shard_merge_charges_its_encode_to_the_handle() {
         let store = temp_store("sa-codec");
-        let mut t = SaTable::new(4, 4);
+        let t = SaTable::new(4, 4);
         t.insert(FuType::AddSub, 1, 1, 2.0);
         store.merge_sa_table(&t);
         assert!(store.codec().satable_encode_ns > 0, "{}", store.codec());
+        // The second merge decodes the shard the first one wrote.
+        store.merge_sa_table(&t);
+        assert!(store.codec().satable_decode_ns > 0, "{}", store.codec());
     }
 
     #[test]
     fn sa_shard_merges_on_absorb() {
         let store = temp_store("sa");
         assert!(store.load_sa_table(SaMode::Precalculated, 4, 4).is_none());
-        let mut a = SaTable::new(4, 4);
+        let a = SaTable::new(4, 4);
         a.insert(FuType::AddSub, 1, 1, 2.0);
         let s = store.merge_sa_table(&a);
         assert_eq!((s.inserted, s.conflicting), (1, 0));
         // A second shard with one overlapping (conflicting) and one new
         // entry merges without losing the existing value.
-        let mut b = SaTable::new(4, 4);
+        let b = SaTable::new(4, 4);
         b.insert(FuType::AddSub, 1, 1, 9.0);
         b.insert(FuType::Mul, 2, 2, 5.0);
         let s = store.merge_sa_table(&b);
@@ -2474,7 +2503,7 @@ mod tests {
         assert_eq!(merged.lookup(FuType::AddSub, 1, 1), Some(2.0));
         // Shards are per (mode, width, k): a zero-delay table lands in
         // its own file.
-        let mut zd = SaTable::new(4, 4).with_mode(SaMode::ZeroDelayAblation);
+        let zd = SaTable::new(4, 4).with_mode(SaMode::ZeroDelayAblation);
         zd.insert(FuType::AddSub, 1, 1, 1.0);
         store.merge_sa_table(&zd);
         assert_eq!(
@@ -2507,7 +2536,7 @@ mod tests {
         a.save_sim(Fingerprint(1), &stats);
         b.save_sim(Fingerprint(1), &stats); // identical in both
         b.save_sim(Fingerprint(2), &stats); // only in b
-        let mut t = SaTable::new(4, 4);
+        let t = SaTable::new(4, 4);
         t.insert(FuType::AddSub, 1, 1, 2.0);
         b.merge_sa_table(&t);
         let report = a.merge_from(&b).unwrap();
@@ -2530,7 +2559,7 @@ mod tests {
         // (they are not artifacts) nor panic parsing them.
         let src = temp_store("tmp-src");
         let dst = temp_store("tmp-dst");
-        let mut t = SaTable::new(6, 6);
+        let t = SaTable::new(6, 6);
         t.insert(FuType::AddSub, 1, 1, 2.0);
         src.merge_sa_table(&t);
         fs::write(
@@ -2553,7 +2582,7 @@ mod tests {
         // table mis-copied over the k=4 slot) must be a miss, not a
         // panic further down in merge-on-absorb.
         let store = temp_store("k-skew");
-        let mut t = SaTable::new(4, 6);
+        let t = SaTable::new(4, 6);
         t.insert(FuType::AddSub, 1, 1, 2.0);
         fs::write(
             store
@@ -2566,7 +2595,7 @@ mod tests {
         assert!(store.load_sa_table(SaMode::Precalculated, 4, 4).is_none());
         // Merging a genuine k=4 table over the skewed file replaces it
         // (the skewed content reads as absent) without panicking.
-        let mut ok = SaTable::new(4, 4);
+        let ok = SaTable::new(4, 4);
         ok.insert(FuType::Mul, 2, 2, 5.0);
         let stats = store.merge_sa_table(&ok);
         assert_eq!(stats.inserted, 1);
@@ -2889,7 +2918,7 @@ mod tests {
         let nfp = netlist_fingerprint(prepared_fingerprint(&g, &rc, &cfg), &outcome.fb, &cfg);
         store.save_mapped(nfp, &artifact);
         store.save_sim(nfp, &flow::simulate(&dp, &artifact.netlist, &cfg));
-        let mut sa = SaTable::new(4, 4);
+        let sa = SaTable::new(4, 4);
         sa.insert(FuType::AddSub, 1, 2, 1.5);
         store.merge_sa_table(&sa);
         store
@@ -3039,7 +3068,7 @@ mod tests {
         assert!(err.contains("does not match store kind"), "{err}");
         // An SA shard whose header disagrees with the name it is filed
         // under (hand-renamed or mis-copied).
-        let mut sa = SaTable::new(4, 4);
+        let sa = SaTable::new(4, 4);
         sa.insert(FuType::Mul, 1, 1, 2.0);
         let shard = sa.to_bin();
         assert!(audit_artifact_bytes(Satables, "precalculated-w4-k4", &shard).is_ok());

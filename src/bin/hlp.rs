@@ -344,7 +344,7 @@ fn load_table(o: &Options, pipeline: &hlpower::Pipeline, binder: Binder) -> bool
     if let Some(path) = &o.sa_table {
         if let Ok(text) = std::fs::read_to_string(path) {
             match SaTable::from_text(&text) {
-                Ok(t) => match pipeline.seed_sa_cache(binder, &t) {
+                Ok(t) => match pipeline.sa_cache(binder).absorb(&t) {
                     Ok(stats) => {
                         eprintln!("loaded SA table `{path}`: {stats}");
                         if stats.conflicting > 0 {
@@ -375,7 +375,7 @@ fn load_table(o: &Options, pipeline: &hlpower::Pipeline, binder: Binder) -> bool
 /// Persists the selected binder's SA cache back to `--sa-table`.
 fn store_table(o: &Options, pipeline: &hlpower::Pipeline, binder: Binder) {
     if let Some(path) = &o.sa_table {
-        let table = pipeline.sa_snapshot(binder);
+        let table = pipeline.sa_cache(binder);
         if let Err(e) = std::fs::write(path, table.to_text()) {
             eprintln!("cannot write SA table `{path}`: {e}");
         } else {
@@ -937,7 +937,7 @@ fn main() {
                 eprintln!("--sa-mode dynamic never memoizes, so there is no table to store");
                 usage();
             }
-            let mut table = SaTable::new(o.req.sa_width, 4).with_mode(o.req.sa_mode);
+            let table = SaTable::new(o.req.sa_width, 4).with_mode(o.req.sa_mode);
             eprintln!(
                 "precomputing SA table up to 8x8 muxes (width {}, mode {})...",
                 table.width(),

@@ -16,7 +16,7 @@
 
 use hlpower::fingerprint::Hasher128;
 use hlpower::flow::{bind, prepare};
-use hlpower::{paper_constraint, Binder, FlowConfig, SaMode, SharedSaTable};
+use hlpower::{paper_constraint, Binder, FlowConfig, SaMode, SaTable};
 
 /// The binders that reach the matcher.
 const MATCHER_BINDERS: [&str; 5] = [
@@ -63,20 +63,19 @@ const PAPER_HLPOWER: [(&str, &str); 7] = [
 /// The SA caches of one flow configuration: the glitch-aware mode for
 /// every binder but the zero-delay ablation, which has its own.
 struct Tables {
-    glitch: SharedSaTable,
-    zero_delay: SharedSaTable,
+    glitch: SaTable,
+    zero_delay: SaTable,
 }
 
 impl Tables {
     fn new(cfg: &FlowConfig) -> Self {
         Tables {
-            glitch: SharedSaTable::new(cfg.sa_width, cfg.k).with_mode(cfg.sa_mode),
-            zero_delay: SharedSaTable::new(cfg.sa_width, cfg.k)
-                .with_mode(SaMode::ZeroDelayAblation),
+            glitch: SaTable::new(cfg.sa_width, cfg.k).with_mode(cfg.sa_mode),
+            zero_delay: SaTable::new(cfg.sa_width, cfg.k).with_mode(SaMode::ZeroDelayAblation),
         }
     }
 
-    fn for_binder(&self, binder: Binder) -> &SharedSaTable {
+    fn for_binder(&self, binder: Binder) -> &SaTable {
         match binder {
             Binder::HlPowerZeroDelay { .. } => &self.zero_delay,
             _ => &self.glitch,

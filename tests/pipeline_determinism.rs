@@ -7,7 +7,7 @@
 //! * the SA table's text persistence round-trips to identical lookups.
 
 use cdfg::FuType;
-use hlpower::{paper_constraint, Binder, FlowConfig, FlowResult, Pipeline, SaTable, SharedSaTable};
+use hlpower::{paper_constraint, Binder, FlowConfig, FlowResult, Pipeline, SaTable};
 
 fn suite(names: &[&str]) -> Vec<(cdfg::Cdfg, cdfg::ResourceConstraint)> {
     names
@@ -136,10 +136,10 @@ fn front_end_artifacts_computed_once_per_benchmark() {
 
 #[test]
 fn sa_table_persistence_roundtrips_to_identical_lookups() {
-    let mut table = SaTable::new(4, 4);
+    let table = SaTable::new(4, 4);
     table.precompute(4);
     let text = table.to_text();
-    let mut restored = SaTable::from_text(&text).unwrap();
+    let restored = SaTable::from_text(&text).unwrap();
     assert_eq!(restored.len(), table.len());
     for fu in FuType::ALL {
         for a in 1..=4 {
@@ -153,7 +153,8 @@ fn sa_table_persistence_roundtrips_to_identical_lookups() {
     let (_, misses) = restored.counters();
     assert_eq!(misses, 0, "every lookup must come from the loaded entries");
     // And the same file seeds a pipeline's shared cross-job cache.
-    let shared = SharedSaTable::from_table(&SaTable::from_text(&text).unwrap());
+    let shared = SaTable::new(4, 4);
+    shared.absorb(&SaTable::from_text(&text).unwrap()).unwrap();
     assert_eq!(shared.len(), table.len());
     let v = shared.get(FuType::AddSub, 2, 2);
     assert!((v - table.get(FuType::AddSub, 2, 2)).abs() < 1e-5);

@@ -143,11 +143,11 @@ fn remote_backend_round_trips_artifacts_through_the_daemon() {
 
     // SA shards merge server-side with absorb semantics: existing
     // entries win and conflicts are reported over the wire.
-    let mut a = SaTable::new(4, 4);
+    let a = SaTable::new(4, 4);
     a.insert(cdfg::FuType::AddSub, 1, 1, 2.0);
     let s = remote.merge_sa_table(&a);
     assert_eq!((s.inserted, s.conflicting), (1, 0));
-    let mut b = SaTable::new(4, 4);
+    let b = SaTable::new(4, 4);
     b.insert(cdfg::FuType::AddSub, 1, 1, 9.0); // conflicts
     b.insert(cdfg::FuType::Mul, 2, 2, 5.0); // new
     let s = remote.merge_sa_table(&b);
@@ -708,7 +708,7 @@ fn corrupt_put_sa_is_refused_without_poisoning_the_shard() {
     let remote = ArtifactStore::connect(&daemon.endpoint).unwrap();
 
     // Seed the shared shard with one known-good entry.
-    let mut seed = SaTable::new(4, 4);
+    let seed = SaTable::new(4, 4);
     seed.insert(cdfg::FuType::AddSub, 1, 1, 2.0);
     let stats = remote.merge_sa_table(&seed);
     assert_eq!((stats.inserted, stats.conflicting), (1, 0));
@@ -733,7 +733,7 @@ fn corrupt_put_sa_is_refused_without_poisoning_the_shard() {
     );
 
     // Same connection, a valid merge right after: protocol-clean refusal.
-    let mut more = SaTable::new(4, 4);
+    let more = SaTable::new(4, 4);
     more.insert(cdfg::FuType::Mul, 2, 2, 5.0);
     let body = more.to_bin();
     writer
@@ -794,7 +794,7 @@ fn text_bodies_are_refused_protocol_clean_on_put_and_put_sa() {
     );
     // A well-formed SA table in its text encoding (the `--sa-table`
     // file format, which is not a store encoding).
-    let mut table = SaTable::new(4, 4);
+    let table = SaTable::new(4, 4);
     table.insert(cdfg::FuType::AddSub, 1, 1, 2.0);
     let text_table = table.to_text();
     let reply = exchange(

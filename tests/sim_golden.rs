@@ -22,7 +22,7 @@ use cdfg::FuType;
 use gatesim::SimStats;
 use hlpower::fingerprint::Hasher128;
 use hlpower::flow::{bind, elaborate_map, prepare, simulate};
-use hlpower::{paper_constraint, simulate_sa, Binder, FlowConfig, SharedSaTable};
+use hlpower::{paper_constraint, simulate_sa, Binder, FlowConfig, SaTable};
 
 /// Expected digests at `FlowConfig::fast()` (scalar engine), per
 /// benchmark and Table 3 binder.
@@ -85,7 +85,7 @@ fn stats_digest(stats: &SimStats) -> String {
 }
 
 /// Digest of the simulation the flow runs for one benchmark × binder.
-fn digest(name: &str, spec: &str, cfg: &FlowConfig, table: &SharedSaTable) -> String {
+fn digest(name: &str, spec: &str, cfg: &FlowConfig, table: &SaTable) -> String {
     let profile = cdfg::profile(name).unwrap();
     let g = cdfg::generate(profile, profile.seed);
     let rc = paper_constraint(name).unwrap();
@@ -100,15 +100,15 @@ fn digest(name: &str, spec: &str, cfg: &FlowConfig, table: &SharedSaTable) -> St
 fn moved(
     label: &str,
     cfg: &FlowConfig,
-    table: &SharedSaTable,
+    table: &SaTable,
     (name, spec, want): (&str, &str, &str),
 ) -> Option<String> {
     let got = digest(name, spec, cfg, table);
     (got != want).then(|| format!("{name} {spec} {label}: expected {want}, got {got}"))
 }
 
-fn sa_table(cfg: &FlowConfig) -> SharedSaTable {
-    SharedSaTable::new(cfg.sa_width, cfg.k).with_mode(cfg.sa_mode)
+fn sa_table(cfg: &FlowConfig) -> SaTable {
+    SaTable::new(cfg.sa_width, cfg.k).with_mode(cfg.sa_mode)
 }
 
 fn assert_none_moved(moved: Vec<String>) {
