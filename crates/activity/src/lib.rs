@@ -48,6 +48,6 @@ pub use signal::{
     signal_probability, PairDist, SignalStats,
 };
 pub use timed::{
-    analyze, analyze_zero_delay, propagate, ActivityConfig, SaReport, TimedSignal, ZeroDelayModel,
-    ZeroDelayReport,
+    analyze, analyze_with_known, analyze_zero_delay, propagate, ActivityConfig, SaReport,
+    TimedSignal, ZeroDelayModel, ZeroDelayReport,
 };

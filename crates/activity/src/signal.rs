@@ -176,39 +176,106 @@ pub fn najm_density(table: &TruthTable, fanins: &[SignalStats]) -> f64 {
 ///
 /// This is Chou–Roy's simultaneous-switching-aware activity: equal to
 /// `2 (P(y) - P(y(t) y(t+T)))` (paper Eq. 2) but computed directly. Only
-/// fanins whose `switch_prob` is nonzero are enumerated in the second
-/// frame, so the cost is `2^n · 2^|switching|`.
+/// fanins whose `switch_prob` is nonzero (the *switching* fanins) may
+/// differ between the frames, so for each `before` row the sum runs over
+/// the `2^s` flip sets ("deltas") of the `s` switching fanins:
+///
+/// * One doubling pass over the fanins in index order forms the
+///   probabilities of all `2^s` deltas at once. Each is the product of
+///   one factor per fanin, `P(before bit, after bit)`, multiplied left to
+///   right from `1.0`.
+/// * The deltas that flip the output are then summed in ascending delta
+///   order, rows in ascending order.
+/// * A row in which no delta flips the output adds nothing, and a row in
+///   which a non-switching fanin's factor is 0 adds only zero products,
+///   which leave the sum as it is; both are skipped.
+///
+/// The cost is `2^n · 2^s`.
+///
+/// # Panics
+///
+/// Panics if `dists.len()` differs from the table's input count.
 pub fn pair_switch_probability(table: &TruthTable, dists: &[PairDist]) -> f64 {
+    pair_switch_probability_in(table, dists, &mut SwitchScratch::default())
+}
+
+/// Reusable buffers of [`pair_switch_probability`].
+#[derive(Default)]
+pub(crate) struct SwitchScratch {
+    /// `deltas[m]`: the inputs flipped by delta `m`, whose bit `j` is the
+    /// `j`-th switching fanin.
+    deltas: Vec<u32>,
+    /// `probs[m]`: the probability of the current row under delta `m`.
+    probs: Vec<f64>,
+}
+
+/// [`pair_switch_probability`] on caller-owned buffers.
+pub(crate) fn pair_switch_probability_in(
+    table: &TruthTable,
+    dists: &[PairDist],
+    scratch: &mut SwitchScratch,
+) -> f64 {
     let n = table.num_inputs();
     assert_eq!(dists.len(), n, "one pair distribution per table input");
-    let switching: Vec<usize> = (0..n).filter(|&i| dists[i].switch_prob() > 0.0).collect();
+    let SwitchScratch { deltas, probs } = scratch;
+    let mut switching = 0u32;
+    // Rows with a set (`zero_if_set`) or clear (`zero_if_clear`) bit of a
+    // non-switching fanin whose stay probability is 0.
+    let (mut zero_if_set, mut zero_if_clear) = (0u32, 0u32);
+    deltas.clear();
+    deltas.push(0);
+    for (i, d) in dists.iter().enumerate() {
+        if d.switch_prob() > 0.0 {
+            switching |= 1 << i;
+            for m in 0..deltas.len() {
+                deltas.push(deltas[m] | 1 << i);
+            }
+        } else {
+            if d.get(true, true) == 0.0 {
+                zero_if_set |= 1 << i;
+            }
+            if d.get(false, false) == 0.0 {
+                zero_if_clear |= 1 << i;
+            }
+        }
+    }
+    probs.clear();
+    probs.resize(deltas.len(), 0.0);
     let mut total = 0.0;
     for before in 0..table.num_rows() {
-        // Probability of the `before` frame with every switching fanin's
-        // joint handled during delta enumeration; frozen fanins contribute
-        // their marginal here and stay fixed.
+        if before & zero_if_set != 0 || !before & zero_if_clear != 0 {
+            continue;
+        }
         let fb = table.eval(before);
-        for dmask in 1u32..(1 << switching.len()) {
-            let mut delta = 0u32;
-            for (k, &i) in switching.iter().enumerate() {
-                if dmask & (1 << k) != 0 {
-                    delta |= 1 << i;
+        if deltas[1..]
+            .iter()
+            .all(|&delta| table.eval(before ^ delta) == fb)
+        {
+            continue;
+        }
+        probs[0] = 1.0;
+        let mut len = 1;
+        for (i, d) in dists.iter().enumerate() {
+            let b = before & (1 << i) != 0;
+            let stay = d.get(b, b);
+            if switching & (1 << i) != 0 {
+                let flip = d.get(b, !b);
+                for m in 0..len {
+                    let p = probs[m];
+                    probs[m] = p * stay;
+                    probs[m + len] = p * flip;
+                }
+                len *= 2;
+            } else {
+                for p in &mut probs[..len] {
+                    *p *= stay;
                 }
             }
-            let after = before ^ delta;
-            if table.eval(after) == fb {
-                continue;
+        }
+        for (&delta, &p) in deltas.iter().zip(probs.iter()).skip(1) {
+            if table.eval(before ^ delta) != fb {
+                total += p;
             }
-            let mut p = 1.0;
-            for (i, d) in dists.iter().enumerate() {
-                let b = before & (1 << i) != 0;
-                let a = after & (1 << i) != 0;
-                p *= d.get(b, a);
-                if p == 0.0 {
-                    break;
-                }
-            }
-            total += p;
         }
     }
     total

@@ -11,9 +11,11 @@
 //! switching activity is the sum over its profile. Summing over all nodes
 //! yields the netlist estimate `SA = Σ sa_i` (paper Eq. 3).
 
-use crate::signal::{pair_switch_probability, signal_probability, PairDist, SignalStats};
-use netlist::{Netlist, NodeId, NodeKind, TruthTable};
-use std::collections::{BTreeSet, HashMap};
+use crate::signal::{
+    pair_switch_probability_in, signal_probability, PairDist, SignalStats, SwitchScratch,
+};
+use netlist::{Netlist, NodeId, NodeKind, TruthTable, MAX_INPUTS};
+use std::collections::HashMap;
 
 /// A signal with its per-time-step switching profile.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,29 +93,32 @@ impl TimedSignal {
 ///
 /// Panics if `fanins.len()` differs from the table's input count.
 pub fn propagate(table: &TruthTable, fanins: &[&TimedSignal]) -> TimedSignal {
-    assert_eq!(fanins.len(), table.num_inputs());
-    let probs: Vec<f64> = fanins.iter().map(|f| f.prob).collect();
-    let prob = signal_probability(table, &probs);
-    let mut times: BTreeSet<u32> = BTreeSet::new();
-    for f in fanins {
-        for &(t, _) in &f.profile {
-            times.insert(t + 1);
-        }
+    let n = table.num_inputs();
+    assert_eq!(fanins.len(), n);
+    let mut probs = [0.0; MAX_INPUTS];
+    for (p, f) in probs.iter_mut().zip(fanins) {
+        *p = f.prob;
     }
+    let prob = signal_probability(table, &probs[..n]);
+    let mut times: Vec<u32> = fanins
+        .iter()
+        .flat_map(|f| f.profile.iter().map(|&(t, _)| t + 1))
+        .collect();
+    times.sort_unstable();
+    times.dedup();
+    let mut dists = [PairDist::frozen(0.0); MAX_INPUTS];
+    let mut scratch = SwitchScratch::default();
     let mut profile = Vec::with_capacity(times.len());
     for t in times {
-        let dists: Vec<PairDist> = fanins
-            .iter()
-            .map(|f| {
-                let a = f.activity_at(t - 1);
-                if a > 0.0 {
-                    PairDist::from_stats(SignalStats::new(f.prob, a))
-                } else {
-                    PairDist::frozen(f.prob)
-                }
-            })
-            .collect();
-        let s = pair_switch_probability(table, &dists);
+        for (d, f) in dists.iter_mut().zip(fanins) {
+            let a = f.activity_at(t - 1);
+            *d = if a > 0.0 {
+                PairDist::from_stats(SignalStats::new(f.prob, a))
+            } else {
+                PairDist::frozen(f.prob)
+            };
+        }
+        let s = pair_switch_probability_in(table, &dists[..n], &mut scratch);
         if s > 0.0 {
             profile.push((t, s));
         }
@@ -186,6 +191,24 @@ impl SaReport {
 /// Panics if the netlist has a combinational cycle (validate with
 /// [`Netlist::check`] first).
 pub fn analyze(nl: &Netlist, config: &ActivityConfig) -> SaReport {
+    analyze_with_known(nl, config, Vec::new())
+}
+
+/// [`analyze`], taking the timed signals of some logic nodes as known:
+/// where `known[id]` holds a signal, it is used as node `id`'s signal
+/// instead of propagating one. Entries beyond `known`'s length, and
+/// entries of non-logic nodes, are ignored.
+///
+/// The report equals [`analyze`]'s bit for bit when every known signal
+/// is the one [`propagate`] would compute for its node, from the same
+/// table and from fanin signals equal to the ones this analysis gives
+/// them. The technology mapper passes the signals its cut selection
+/// computed that way.
+pub fn analyze_with_known(
+    nl: &Netlist,
+    config: &ActivityConfig,
+    mut known: Vec<Option<TimedSignal>>,
+) -> SaReport {
     let mut signals: Vec<TimedSignal> = vec![TimedSignal::constant(false); nl.num_nodes()];
     let mut total = 0.0;
     let mut functional = 0.0;
@@ -194,8 +217,14 @@ pub fn analyze(nl: &Netlist, config: &ActivityConfig) -> SaReport {
             NodeKind::Input | NodeKind::Latch { .. } => TimedSignal::source(config.stats_for(id)),
             NodeKind::Constant(v) => TimedSignal::constant(*v),
             NodeKind::Logic { fanins, table } => {
-                let refs: Vec<&TimedSignal> = fanins.iter().map(|f| &signals[f.index()]).collect();
-                let sig = propagate(table, &refs);
+                let sig = match known.get_mut(id.index()).and_then(Option::take) {
+                    Some(sig) => sig,
+                    None => {
+                        let refs: Vec<&TimedSignal> =
+                            fanins.iter().map(|f| &signals[f.index()]).collect();
+                        propagate(table, &refs)
+                    }
+                };
                 total += sig.total_activity();
                 functional += sig.functional_activity();
                 sig

@@ -10,99 +10,125 @@
 //! functions instead of occupying LUT pins.
 
 use netlist::{Netlist, NodeId, NodeKind, TruthTable};
-use std::collections::HashMap;
+use std::fmt;
+
+/// Most leaves a cut holds: the widest LUT [`enumerate_cuts`] supports.
+const MAX_LEAVES: usize = 8;
 
 /// One cut: sorted leaf set plus a 64-bit subset signature.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The leaves live inline, so making, merging and copying cuts allocates
+/// nothing.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Cut {
-    leaves: Vec<NodeId>,
+    /// The leaves in `slots[..len]`, sorted; the other slots hold
+    /// `NodeId(0)`.
+    slots: [NodeId; MAX_LEAVES],
+    len: u8,
     sig: u64,
+}
+
+impl fmt::Debug for Cut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cut")
+            .field("leaves", &self.leaves())
+            .field("sig", &self.sig)
+            .finish()
+    }
 }
 
 impl Cut {
     /// The trivial cut `{n}`.
     pub fn trivial(n: NodeId) -> Self {
-        Cut {
-            leaves: vec![n],
-            sig: 1u64 << (n.0 % 64),
-        }
+        let mut cut = Cut::empty();
+        cut.slots[0] = n;
+        cut.len = 1;
+        cut.sig = 1u64 << (n.0 % 64);
+        cut
     }
 
     /// The empty cut (used for constant nodes).
     pub fn empty() -> Self {
         Cut {
-            leaves: Vec::new(),
+            slots: [NodeId(0); MAX_LEAVES],
+            len: 0,
             sig: 0,
         }
     }
 
     /// Sorted leaves.
     pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
+        &self.slots[..usize::from(self.len)]
     }
 
     /// Leaf count.
     pub fn size(&self) -> usize {
-        self.leaves.len()
+        usize::from(self.len)
     }
 
-    /// Merges two cuts; `None` if the union exceeds `k` leaves.
+    /// Merges two cuts; `None` if the union exceeds `k` leaves, or 8
+    /// leaves, the most a cut holds.
     pub fn merge(&self, other: &Cut, k: usize) -> Option<Cut> {
+        let k = k.min(MAX_LEAVES);
         // Quick reject: the signature union popcount is a lower bound on
         // the merged size (signatures alias mod 64, never undercounting
         // distinct bits they do set).
         if (self.sig | other.sig).count_ones() as usize > k {
             return None;
         }
-        let mut merged = Vec::with_capacity(self.leaves.len() + other.leaves.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.leaves.len() && j < other.leaves.len() {
-            match self.leaves[i].cmp(&other.leaves[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(self.leaves[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(other.leaves[j]);
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut merged = Cut::empty();
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x > y => {
                     j += 1;
+                    y
                 }
-                std::cmp::Ordering::Equal => {
-                    merged.push(self.leaves[i]);
+                (Some(&x), Some(&y)) => {
                     i += 1;
-                    j += 1;
+                    if x == y {
+                        j += 1;
+                    }
+                    x
                 }
-            }
-            if merged.len() > k {
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (None, None) => unreachable!("the loop runs while a leaf is left"),
+            };
+            if n == k {
                 return None;
             }
+            merged.slots[n] = next;
+            n += 1;
         }
-        merged.extend_from_slice(&self.leaves[i..]);
-        merged.extend_from_slice(&other.leaves[j..]);
-        if merged.len() > k {
-            return None;
-        }
-        let sig = self.sig | other.sig;
-        Some(Cut {
-            leaves: merged,
-            sig,
-        })
+        merged.len = n as u8;
+        merged.sig = self.sig | other.sig;
+        Some(merged)
     }
 
     /// True if `self`'s leaves are a subset of `other`'s (so `self`
     /// dominates `other`).
     pub fn dominates(&self, other: &Cut) -> bool {
-        if self.leaves.len() > other.leaves.len() {
+        if self.len > other.len {
             return false;
         }
         if self.sig & other.sig != self.sig {
             return false;
         }
+        let theirs = other.leaves();
         let mut j = 0;
-        for leaf in &self.leaves {
-            while j < other.leaves.len() && other.leaves[j] < *leaf {
+        for leaf in self.leaves() {
+            while j < theirs.len() && theirs[j] < *leaf {
                 j += 1;
             }
-            if j >= other.leaves.len() || other.leaves[j] != *leaf {
+            if j >= theirs.len() || theirs[j] != *leaf {
                 return false;
             }
         }
@@ -161,7 +187,10 @@ impl CutSets {
 ///
 /// Panics if the netlist is cyclic (run [`Netlist::check`] first).
 pub fn enumerate_cuts(nl: &Netlist, cfg: &CutConfig) -> CutSets {
-    assert!(cfg.k >= 2 && cfg.k <= 8, "supported LUT sizes are 2..=8");
+    assert!(
+        (2..=MAX_LEAVES).contains(&cfg.k),
+        "supported LUT sizes are 2..={MAX_LEAVES}"
+    );
     let mut sets: Vec<Vec<Cut>> = vec![Vec::new(); nl.num_nodes()];
     for id in nl.topo_order() {
         let node = nl.node(id);
@@ -201,7 +230,7 @@ fn sort_cuts(cuts: &mut [Cut]) {
     cuts.sort_by(|a, b| {
         a.size()
             .cmp(&b.size())
-            .then_with(|| a.leaves.cmp(&b.leaves))
+            .then_with(|| a.leaves().cmp(b.leaves()))
     });
 }
 
@@ -216,84 +245,140 @@ fn insert_pruned(set: &mut Vec<Cut>, cut: Cut) {
 }
 
 /// Computes the Boolean function of `root` expressed over the leaves of
-/// `cut`, by evaluating the cone for every leaf assignment. Constants
-/// encountered inside the cone are folded.
+/// `cut`. Constants encountered inside the cone are folded.
+///
+/// The cone is evaluated once, bit-parallel: every cone node holds its
+/// truth table over the leaves as `u64` words, where bit `r` of the
+/// table is the node's value under leaf assignment `r` (leaf `i` = bit
+/// `i` of `r`). Leaf `i < 6` starts as the variable mask `0xAAAA…`,
+/// `0xCCCC…`, … and leaf `i ≥ 6` as whole words of ones or zeros, so a
+/// cut of `k ≤ 6` leaves takes one word per node and `k = 8` takes four.
 ///
 /// # Panics
 ///
 /// Panics if the cone reaches a non-constant source that is not a leaf
-/// (i.e. `cut` is not actually a cut of `root`), or if the cut has more
-/// than [`netlist::MAX_INPUTS`] leaves.
+/// (i.e. `cut` is not actually a cut of `root`).
 pub fn cut_function(nl: &Netlist, root: NodeId, cut: &Cut) -> TruthTable {
-    let leaves = cut.leaves();
-    let k = leaves.len();
-    let mut leaf_pos: HashMap<NodeId, usize> = HashMap::with_capacity(k);
-    for (i, &l) in leaves.iter().enumerate() {
-        leaf_pos.insert(l, i);
-    }
-    // Collect the cone in topological order once, then evaluate per row.
-    let cone = collect_cone(nl, root, &leaf_pos);
-    TruthTable::from_fn(k, |row| {
-        let mut values: HashMap<NodeId, bool> = HashMap::with_capacity(cone.len() + k);
-        for (i, &l) in leaves.iter().enumerate() {
-            values.insert(l, row & (1 << i) != 0);
-        }
-        for &n in &cone {
-            let v = match &nl.node(n).kind {
-                NodeKind::Constant(c) => *c,
-                NodeKind::Logic { fanins, table } => {
-                    let mut idx = 0u32;
-                    for (bit, f) in fanins.iter().enumerate() {
-                        if values[f] {
-                            idx |= 1 << bit;
-                        }
-                    }
-                    table.eval(idx)
-                }
-                _ => unreachable!("cone stops at leaves"),
-            };
-            values.insert(n, v);
-        }
-        values[&root]
-    })
+    ConeEval::default().function(nl, root, cut)
 }
 
-/// Nodes strictly inside the cone (excluding leaves), in topological order
-/// ending with `root`. Empty when `root` is itself a leaf.
-fn collect_cone(nl: &Netlist, root: NodeId, leaf_pos: &HashMap<NodeId, usize>) -> Vec<NodeId> {
-    if leaf_pos.contains_key(&root) {
-        return Vec::new();
+/// Reusable buffers of [`cut_function`], so a caller that evaluates many
+/// cuts allocates them once.
+#[derive(Default)]
+pub(crate) struct ConeEval {
+    /// The leaves, then the cone nodes evaluated so far in topological
+    /// order. Cones of K-feasible cuts hold a few dozen nodes, so a
+    /// linear scan finds an entry faster than a hash map would.
+    nodes: Vec<NodeId>,
+    /// `words` table words per entry of `nodes`.
+    values: Vec<u64>,
+    /// Depth-first frames: a cone node and the next fanin to visit.
+    stack: Vec<(NodeId, usize)>,
+    /// Positions in `nodes` of the fanins of the node being evaluated.
+    fanin_pos: Vec<usize>,
+}
+
+/// Word `w` of the truth table of leaf variable `i`.
+fn leaf_word(i: usize, w: usize) -> u64 {
+    const MASKS: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match MASKS.get(i) {
+        Some(&m) => m,
+        None if (w >> (i - 6)) & 1 == 1 => u64::MAX,
+        None => 0,
     }
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut state: HashMap<NodeId, u8> = HashMap::new(); // 1 = open, 2 = done
-    let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-    while let Some((n, child)) = stack.pop() {
-        if child == 0 {
-            if state.get(&n) == Some(&2) {
+}
+
+impl ConeEval {
+    /// [`cut_function`] on these buffers.
+    pub(crate) fn function(&mut self, nl: &Netlist, root: NodeId, cut: &Cut) -> TruthTable {
+        let leaves = cut.leaves();
+        let k = leaves.len();
+        let words = if k > 6 { 1 << (k - 6) } else { 1 };
+        self.nodes.clear();
+        self.values.clear();
+        for (i, &l) in leaves.iter().enumerate() {
+            self.nodes.push(l);
+            self.values.extend((0..words).map(|w| leaf_word(i, w)));
+        }
+        if !leaves.contains(&root) {
+            self.evaluate_cone(nl, root, words);
+        }
+        let at = self.position(root).expect("root is a leaf or evaluated") * words;
+        TruthTable::from_words(k, self.values[at..at + words].to_vec())
+    }
+
+    fn position(&self, n: NodeId) -> Option<usize> {
+        self.nodes.iter().rposition(|&x| x == n)
+    }
+
+    /// Evaluates every cone node under `root` in depth-first post-order,
+    /// so each node's fanins are evaluated before it.
+    fn evaluate_cone(&mut self, nl: &Netlist, root: NodeId, words: usize) {
+        self.stack.clear();
+        self.stack.push((root, 0));
+        while let Some((n, child)) = self.stack.pop() {
+            let kind = &nl.node(n).kind;
+            let fanins: &[NodeId] = match kind {
+                NodeKind::Logic { fanins, .. } => fanins,
+                NodeKind::Constant(_) => &[],
+                _ => panic!(
+                    "cone of {root:?} reached non-leaf source {:?} — invalid cut",
+                    nl.node(n).name
+                ),
+            };
+            if let Some(&f) = fanins.get(child) {
+                self.stack.push((n, child + 1));
+                if self.position(f).is_none() {
+                    self.stack.push((f, 0));
+                }
                 continue;
             }
-            state.insert(n, 1);
-        }
-        let fanins: &[NodeId] = match &nl.node(n).kind {
-            NodeKind::Logic { fanins, .. } => fanins,
-            NodeKind::Constant(_) => &[],
-            _ => panic!(
-                "cone of {root:?} reached non-leaf source {:?} — invalid cut",
-                nl.node(n).name
-            ),
-        };
-        if child < fanins.len() {
-            stack.push((n, child + 1));
-            let f = fanins[child];
-            if !leaf_pos.contains_key(&f) && state.get(&f) != Some(&2) {
-                stack.push((f, 0));
+            self.fanin_pos.clear();
+            for &f in fanins {
+                let at = self.position(f).expect("fanin evaluated first");
+                self.fanin_pos.push(at * words);
             }
-        } else {
-            state.insert(n, 2);
-            order.push(n);
+            for w in 0..words {
+                let v = match kind {
+                    NodeKind::Constant(c) => {
+                        if *c {
+                            u64::MAX
+                        } else {
+                            0
+                        }
+                    }
+                    NodeKind::Logic { table, .. } => self.node_word(table, w),
+                    _ => unreachable!("sources are leaves"),
+                };
+                self.values.push(v);
+            }
+            self.nodes.push(n);
         }
     }
-    order
+
+    /// Word `w` of a logic node's table over the leaves: the union of the
+    /// node's on-set rows, each the conjunction of its fanins' literals.
+    fn node_word(&self, table: &TruthTable, w: usize) -> u64 {
+        let mut out = 0u64;
+        for row in 0..table.num_rows() {
+            if table.eval(row) {
+                let mut term = u64::MAX;
+                for (i, &at) in self.fanin_pos.iter().enumerate() {
+                    let x = self.values[at + w];
+                    term &= if (row >> i) & 1 == 1 { x } else { !x };
+                }
+                out |= term;
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -371,6 +456,19 @@ mod tests {
         // {1,2} U {1,3} = {1,2,3}
         let m = a.merge(&shared, 3).unwrap();
         assert_eq!(m.size(), 3);
+    }
+
+    #[test]
+    fn merge_holds_at_most_eight_leaves() {
+        let cut = |ids: &[u32]| {
+            ids.iter().fold(Cut::empty(), |c, &i| {
+                c.merge(&Cut::trivial(NodeId(i)), 8).unwrap()
+            })
+        };
+        let all = cut(&[0, 2, 4, 6]).merge(&cut(&[1, 3, 5, 7]), 16).unwrap();
+        assert_eq!(all.leaves(), (0..8).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(all, cut(&[7, 6, 5, 4, 3, 2, 1, 0]));
+        assert!(all.merge(&Cut::trivial(NodeId(8)), 16).is_none());
     }
 
     #[test]

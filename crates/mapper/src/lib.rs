@@ -3,8 +3,9 @@
 //! Implements cut-based K-LUT mapping in the style the paper relies on:
 //! cut enumeration with ranking and pruning \[8\], and a glitch-aware
 //! low-power mapping objective derived from GlitchMap \[6\] in which each
-//! node selects the K-feasible cut with the lowest estimated (glitch
-//! inclusive) switching activity. Conventional depth-optimal and area-flow
+//! node greedily selects the K-feasible cut with the lowest SA flow: its
+//! LUT's estimated (glitch inclusive) switching activity plus the flow
+//! its leaves share with it. Conventional depth-optimal and area-flow
 //! objectives are included as baselines and for ablations.
 //!
 //! In the reproduction pipeline this crate substitutes for Quartus II RTL

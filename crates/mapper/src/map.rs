@@ -5,19 +5,35 @@
 //! * [`MapObjective::Depth`] — minimum logic depth (performance), the
 //!   conventional baseline;
 //! * [`MapObjective::AreaFlow`] — area-flow heuristic (LUT count);
-//! * [`MapObjective::GlitchSa`] — the GlitchMap-style objective of the
-//!   paper's Section 4: each node picks the K-feasible cut whose *timed*
-//!   switching activity (glitches included) is lowest, with an SA-flow
-//!   term sharing leaf costs across fanouts.
+//! * [`MapObjective::GlitchSa`] — a GlitchMap-style greedy on *SA flow*:
+//!   each node picks the K-feasible cut whose LUT's timed switching
+//!   activity (glitches included, by the paper's Section 4 estimator)
+//!   plus the SA flow its leaves share with it is lowest, ranking SA
+//!   before depth and area flow.
+//!
+//! The per-node greedy does not minimise the mapped netlist's SA. On the
+//! 14 suite datapaths at the paper configuration (LOPASS and
+//! HLPower(0.5), K = 4), `GlitchSa` gives 62,495 LUTs and an Eq. 3
+//! estimate of 112,919, while `Depth` gives 60,612 LUTs and 108,146
+//! (ROADMAP item 12). The paper's estimator comes from Section 4; its
+//! backend was Quartus II.
+//!
+//! Cut selection evaluates each candidate cut's function (bit-parallel,
+//! [`crate::cut_function`]) and timed signal once, and skips a candidate
+//! whose key cannot beat the best one even at zero SA of its own. The
+//! cover reuses the winners' functions, and its Eq. 3 estimate reuses
+//! their signals wherever the analysis would compute the same ones. So
+//! every netlist and every estimate bit is what evaluating every
+//! candidate afresh would give.
 //!
 //! The mapper substitutes for Quartus II RTL synthesis in the
 //! reproduction: it turns elaborated datapath netlists into 4-LUT networks
 //! whose LUT count, depth, and per-LUT structure drive the area, clock
 //! period, and power measurements.
 
-use crate::cut::{cut_function, enumerate_cuts, Cut, CutConfig, CutSets};
+use crate::cut::{enumerate_cuts, ConeEval, Cut, CutConfig, CutSets};
 use activity::{propagate, ActivityConfig, SignalStats, TimedSignal};
-use netlist::{Netlist, NodeId, NodeKind};
+use netlist::{Netlist, NodeId, NodeKind, TruthTable};
 use std::collections::HashMap;
 
 /// Mapping objective.
@@ -100,18 +116,35 @@ pub struct MapStats {
 pub fn map(nl: &Netlist, cfg: &MapConfig) -> MappedNetlist {
     nl.check().expect("mapper input must be a valid netlist");
     let cuts = enumerate_cuts(nl, &cfg.cuts);
-    let choice = choose_cuts(nl, &cuts, cfg);
-    build_cover(nl, &cuts, &choice, cfg)
+    let order = nl.topo_order();
+    let choice = choose_cuts(nl, &order, &cuts, cfg);
+    build_cover(nl, &order, &cuts, choice, cfg)
 }
 
+/// What cut selection chose, indexed by `NodeId`.
 struct Choice {
     /// Best cut index (into `cuts.cuts(n)`) per logic node.
     best: Vec<usize>,
+    /// The best cut's function, per logic node.
+    tables: Vec<Option<TruthTable>>,
+    /// Each node's timed signal under the chosen cuts: a logic node's is
+    /// its best cut's LUT propagated from the leaves' signals.
+    signals: Vec<TimedSignal>,
 }
 
-fn choose_cuts(nl: &Netlist, cuts: &CutSets, cfg: &MapConfig) -> Choice {
+/// The best candidate cut of a node so far, fully evaluated.
+struct Winner {
+    index: usize,
+    key: (f64, f64, f64),
+    table: TruthTable,
+    signal: TimedSignal,
+    sa_flow: f64,
+}
+
+fn choose_cuts(nl: &Netlist, order: &[NodeId], cuts: &CutSets, cfg: &MapConfig) -> Choice {
     let n = nl.num_nodes();
     let mut best = vec![0usize; n];
+    let mut tables: Vec<Option<TruthTable>> = vec![None; n];
     let mut depth = vec![0u32; n];
     let mut area_flow = vec![0.0f64; n];
     let mut sa_flow = vec![0.0f64; n];
@@ -121,8 +154,9 @@ fn choose_cuts(nl: &Netlist, cuts: &CutSets, cfg: &MapConfig) -> Choice {
         .iter()
         .map(|f| (f.len() as f64).max(1.0))
         .collect();
+    let mut cone = ConeEval::default();
 
-    for id in nl.topo_order() {
+    for &id in order {
         match &nl.node(id).kind {
             NodeKind::Input | NodeKind::Latch { .. } => {
                 signals[id.index()] = TimedSignal::source(cfg.source_stats);
@@ -133,37 +167,67 @@ fn choose_cuts(nl: &Netlist, cuts: &CutSets, cfg: &MapConfig) -> Choice {
             NodeKind::Logic { .. } => {
                 let implementable = cuts.implementable(id);
                 let offset = cuts.cuts(id).len() - implementable.len();
-                let mut best_idx = 0usize;
-                let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-                let mut best_sig = TimedSignal::constant(false);
+                let mut winner: Option<Winner> = None;
                 for (ci, cut) in implementable.iter().enumerate() {
-                    let d = cut_depth(cut, &depth);
+                    let d = cut_depth(cut, &depth) as f64;
                     let af = cut_area_flow(cut, &area_flow, &fanout_counts);
-                    let (sig, saf) = cut_sa(nl, id, cut, &signals, &sa_flow, &fanout_counts);
-                    let key = match cfg.objective {
-                        MapObjective::Depth => (d as f64, af, saf),
-                        MapObjective::AreaFlow => (af, d as f64, saf),
-                        MapObjective::GlitchSa => (saf, d as f64, af),
+                    let leaf_flow = cut_leaf_sa_flow(cut, &sa_flow, &fanout_counts);
+                    let key = |saf: f64| match cfg.objective {
+                        MapObjective::Depth => (d, af, saf),
+                        MapObjective::AreaFlow => (af, d, saf),
+                        MapObjective::GlitchSa => (saf, d, af),
                     };
-                    if key < best_key {
-                        best_key = key;
-                        best_idx = ci;
-                        best_sig = sig;
+                    // Skip a candidate that cannot win. Its SA flow is
+                    // `own + leaf_flow`, where its own SA `own` is a sum
+                    // of probabilities, so `own ≥ 0`; IEEE addition of a
+                    // non-negative number never rounds below
+                    // `leaf_flow`. So the candidate's key is
+                    // componentwise at least this lower-bound key, and a
+                    // candidate wins only with a key strictly below the
+                    // best one: if the lower bound already compares
+                    // greater, so does the key. Ties are evaluated.
+                    // Under `Depth` and `AreaFlow` this skips the SA of
+                    // every candidate already beaten on depth or area.
+                    if let Some(w) = &winner {
+                        if key(leaf_flow) > w.key {
+                            continue;
+                        }
+                    }
+                    let table = cone.function(nl, id, cut);
+                    let leaf_sigs: Vec<&TimedSignal> =
+                        cut.leaves().iter().map(|l| &signals[l.index()]).collect();
+                    let signal = propagate(&table, &leaf_sigs);
+                    let saf = signal.total_activity() + leaf_flow;
+                    // The first candidate leads; a later one takes the
+                    // lead only with a strictly smaller key, so among
+                    // equal keys the earliest wins.
+                    let k = key(saf);
+                    if winner.as_ref().is_none_or(|w| k < w.key) {
+                        winner = Some(Winner {
+                            index: ci,
+                            key: k,
+                            table,
+                            signal,
+                            sa_flow: saf,
+                        });
                     }
                 }
-                let cut = &implementable[best_idx];
-                best[id.index()] = offset + best_idx;
+                let w = winner.expect("every logic node has an implementable cut");
+                let cut = &implementable[w.index];
+                best[id.index()] = offset + w.index;
                 depth[id.index()] = cut_depth(cut, &depth);
                 area_flow[id.index()] = cut_area_flow(cut, &area_flow, &fanout_counts);
-                sa_flow[id.index()] = {
-                    let (_, saf) = cut_sa(nl, id, cut, &signals, &sa_flow, &fanout_counts);
-                    saf
-                };
-                signals[id.index()] = best_sig;
+                sa_flow[id.index()] = w.sa_flow;
+                tables[id.index()] = Some(w.table);
+                signals[id.index()] = w.signal;
             }
         }
     }
-    Choice { best }
+    Choice {
+        best,
+        tables,
+        signals,
+    }
 }
 
 fn cut_depth(cut: &Cut, depth: &[u32]) -> u32 {
@@ -183,30 +247,22 @@ fn cut_area_flow(cut: &Cut, area_flow: &[f64], fanouts: &[f64]) -> f64 {
         .sum::<f64>()
 }
 
-/// Timed signal of the cut's LUT plus its SA-flow cost (own effective SA +
-/// shared leaf costs).
-fn cut_sa(
-    nl: &Netlist,
-    root: NodeId,
-    cut: &Cut,
-    signals: &[TimedSignal],
-    sa_flow: &[f64],
-    fanouts: &[f64],
-) -> (TimedSignal, f64) {
-    let table = cut_function(nl, root, cut);
-    let leaf_sigs: Vec<&TimedSignal> = cut.leaves().iter().map(|l| &signals[l.index()]).collect();
-    let sig = propagate(&table, &leaf_sigs);
-    let own = sig.total_activity();
-    let flow = own
-        + cut
-            .leaves()
-            .iter()
-            .map(|l| sa_flow[l.index()] / fanouts[l.index()])
-            .sum::<f64>();
-    (sig, flow)
+/// The SA flow a cut's leaves share with it. A cut's SA-flow cost is
+/// its LUT's own effective SA plus this sum.
+fn cut_leaf_sa_flow(cut: &Cut, sa_flow: &[f64], fanouts: &[f64]) -> f64 {
+    cut.leaves()
+        .iter()
+        .map(|l| sa_flow[l.index()] / fanouts[l.index()])
+        .sum::<f64>()
 }
 
-fn build_cover(nl: &Netlist, cuts: &CutSets, choice: &Choice, cfg: &MapConfig) -> MappedNetlist {
+fn build_cover(
+    nl: &Netlist,
+    order: &[NodeId],
+    cuts: &CutSets,
+    mut choice: Choice,
+    cfg: &MapConfig,
+) -> MappedNetlist {
     // Roots: primary outputs and latch data drivers.
     let mut required = vec![false; nl.num_nodes()];
     let mut stack: Vec<NodeId> = Vec::new();
@@ -231,67 +287,99 @@ fn build_cover(nl: &Netlist, cuts: &CutSets, choice: &Choice, cfg: &MapConfig) -
         }
     }
 
-    // Build the LUT netlist.
+    // Build the LUT netlist. `known[o]` is the cut-selection signal of
+    // the mapped node `o`, kept where the Eq. 3 analysis below would
+    // compute exactly that signal, so it need not propagate it again.
+    // A LUT's cut-selection signal is `propagate` of its kept table from
+    // its leaves' cut-selection signals, and sources get
+    // `TimedSignal::source(cfg.source_stats)` there as in the analysis.
+    // So a LUT whose fanins are all sources or LUTs with kept signals
+    // would be propagated from the same table and the same signals. A
+    // cone folded to a constant becomes a constant node here, whose
+    // signal is not the one cut selection propagated for it (a constant
+    // table's probability is a sum over rows, not exactly 0 or 1), so
+    // every LUT downstream of one is propagated afresh.
     let mut out = Netlist::new(format!("{}_mapped", nl.name()));
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut remap: Vec<Option<NodeId>> = vec![None; nl.num_nodes()];
     for &i in nl.inputs() {
-        remap.insert(i, out.add_input(nl.node(i).name.clone()));
+        remap[i.index()] = Some(out.add_input(nl.node(i).name.clone()));
     }
     for &l in nl.latches() {
         if let NodeKind::Latch { init, .. } = &nl.node(l).kind {
-            remap.insert(l, out.add_latch(nl.node(l).name.clone(), *init));
+            remap[l.index()] = Some(out.add_latch(nl.node(l).name.clone(), *init));
         }
     }
+    let mut known: Vec<Option<TimedSignal>> = Vec::new();
+    known.resize_with(out.num_nodes(), || None);
     let mut luts = 0usize;
-    for id in nl.topo_order() {
+    for &id in order {
         if !required[id.index()] {
             continue;
         }
         let cut = &cuts.cuts(id)[choice.best[id.index()]];
-        let table = cut_function(nl, id, cut);
-        let fanins: Vec<NodeId> = cut.leaves().iter().map(|leaf| remap[leaf]).collect();
+        let table = choice.tables[id.index()]
+            .take()
+            .expect("cut selection keeps each logic node's table");
+        let fanins: Vec<NodeId> = cut
+            .leaves()
+            .iter()
+            .map(|leaf| remap[leaf.index()].expect("leaves are mapped before their readers"))
+            .collect();
         // Constant cones (including empty cuts) become constant nodes.
-        let new_id = if let Some(v) = table.as_constant() {
-            out.add_constant(nl.node(id).name.clone(), v)
+        let (new_id, signal) = if let Some(v) = table.as_constant() {
+            (out.add_constant(nl.node(id).name.clone(), v), None)
         } else {
             luts += 1;
-            out.add_logic(nl.node(id).name.clone(), fanins, table)
+            let reusable = fanins.iter().all(|f| match &out.node(*f).kind {
+                NodeKind::Input | NodeKind::Latch { .. } => true,
+                NodeKind::Logic { .. } => known[f.index()].is_some(),
+                NodeKind::Constant(_) => false,
+            });
+            let signal = std::mem::replace(
+                &mut choice.signals[id.index()],
+                TimedSignal::constant(false),
+            );
+            let new_id = out.add_logic(nl.node(id).name.clone(), fanins, table);
+            (new_id, reusable.then_some(signal))
         };
-        remap.insert(id, new_id);
+        remap[id.index()] = Some(new_id);
+        known.push(signal);
     }
+    // The signals and tables left are those of nodes the cover does not
+    // use; free them before the analysis allocates its own signals.
+    drop(choice);
     // Constants that feed latches/outputs directly.
+    let mut constant = |out: &mut Netlist, id: NodeId| {
+        if let NodeKind::Constant(v) = &nl.node(id).kind {
+            remap[id.index()].get_or_insert_with(|| out.add_constant(nl.node(id).name.clone(), *v));
+        }
+    };
     for (_, id) in nl.outputs() {
-        if let NodeKind::Constant(v) = &nl.node(*id).kind {
-            remap
-                .entry(*id)
-                .or_insert_with(|| out.add_constant(nl.node(*id).name.clone(), *v));
-        }
+        constant(&mut out, *id);
     }
     for &l in nl.latches() {
         if let NodeKind::Latch { data, .. } = &nl.node(l).kind {
-            if let NodeKind::Constant(v) = &nl.node(*data).kind {
-                remap
-                    .entry(*data)
-                    .or_insert_with(|| out.add_constant(nl.node(*data).name.clone(), *v));
-            }
+            constant(&mut out, *data);
         }
     }
+    let mapped = |id: &NodeId| remap[id.index()].expect("every output and latch is mapped");
     for &l in nl.latches() {
         if let NodeKind::Latch { data, .. } = &nl.node(l).kind {
-            out.set_latch_data(remap[&l], remap[data]);
+            out.set_latch_data(mapped(&l), mapped(data));
         }
     }
     for (port, id) in nl.outputs() {
-        out.mark_output(port.clone(), remap[id]);
+        out.mark_output(port.clone(), mapped(id));
     }
     out.check().expect("mapped netlist must be valid");
 
-    let report = activity::analyze(
+    let report = activity::analyze_with_known(
         &out,
         &ActivityConfig {
             default_source: cfg.source_stats,
             overrides: HashMap::new(),
         },
+        known,
     );
     let stats = MapStats {
         luts,
